@@ -6,10 +6,6 @@
 
 namespace libra::channel {
 
-namespace {
-constexpr double kNoSignalDbm = -200.0;
-}
-
 Link::Link(const env::Environment* env, array::PhasedArray* tx,
            array::PhasedArray* rx, LinkBudgetConfig cfg)
     : env_(env),
@@ -32,6 +28,7 @@ void Link::refresh() {
 }
 
 void Link::set_interferer(std::optional<Interferer> interferer) {
+  if (interferer == interferer_) return;
   interferer_ = interferer;
   if (interferer_) {
     interferer_paths_ =
@@ -41,19 +38,24 @@ void Link::set_interferer(std::optional<Interferer> interferer) {
   }
 }
 
+PathLoss Link::path_loss(const Path& p) const {
+  PathLoss loss;
+  for (std::size_t i = 0; i + 1 < p.points.size(); ++i) {
+    loss.blockage_db += env_->blockage_loss_db(p.points[i], p.points[i + 1]);
+  }
+  loss.path_loss_db = path_loss_db(cfg_, p.length_m);
+  loss.reflection_loss_db = p.reflection_loss_db;
+  return loss;
+}
+
 std::vector<PathContribution> Link::contributions(
     array::BeamId tx_beam, array::BeamId rx_beam) const {
   std::vector<PathContribution> out;
   out.reserve(paths_.size());
   for (const Path& p : paths_) {
-    double blockage_db = 0.0;
-    for (std::size_t i = 0; i + 1 < p.points.size(); ++i) {
-      blockage_db += env_->blockage_loss_db(p.points[i], p.points[i + 1]);
-    }
     const double power =
-        cfg_.tx_power_dbm + tx_->gain_dbi(tx_beam, p.aod_deg) +
-        rx_->gain_dbi(rx_beam, p.aoa_deg) - path_loss_db(cfg_, p.length_m) -
-        p.reflection_loss_db - blockage_db;
+        path_power_dbm(cfg_.tx_power_dbm, tx_->gain_dbi(tx_beam, p.aod_deg),
+                       rx_->gain_dbi(rx_beam, p.aoa_deg), path_loss(p));
     out.push_back({power,
                    p.length_m / libra::util::kSpeedOfLightMps *
                        libra::util::kNsPerSecond,
@@ -64,11 +66,12 @@ std::vector<PathContribution> Link::contributions(
 
 double Link::rx_power_dbm(array::BeamId tx_beam, array::BeamId rx_beam) const {
   double total_mw = 0.0;
-  for (const PathContribution& c : contributions(tx_beam, rx_beam)) {
-    total_mw += libra::util::dbm_to_mw(c.rx_power_dbm);
+  for (const Path& p : paths_) {
+    total_mw += libra::util::dbm_to_mw(
+        path_power_dbm(cfg_.tx_power_dbm, tx_->gain_dbi(tx_beam, p.aod_deg),
+                       rx_->gain_dbi(rx_beam, p.aoa_deg), path_loss(p)));
   }
-  if (total_mw <= 0.0) return kNoSignalDbm;
-  return libra::util::mw_to_dbm(total_mw) + fade_db_;
+  return total_power_dbm(total_mw, fade_db_);
 }
 
 double Link::interference_power_dbm(array::BeamId rx_beam) const {
@@ -85,7 +88,7 @@ double Link::interference_power_dbm(array::BeamId rx_beam) const {
 }
 
 double Link::noise_floor_dbm(array::BeamId rx_beam) const {
-  const double base = thermal_floor_dbm_ + interference_rise_db_;
+  const double base = clean_floor_dbm();
   if (!interferer_) return base;
   return libra::util::dbm_add(base, interference_power_dbm(rx_beam));
 }
@@ -96,8 +99,7 @@ double Link::snr_db(array::BeamId tx_beam, array::BeamId rx_beam) const {
 
 double Link::snr_clean_db(array::BeamId tx_beam,
                           array::BeamId rx_beam) const {
-  return rx_power_dbm(tx_beam, rx_beam) -
-         (thermal_floor_dbm_ + interference_rise_db_);
+  return rx_power_dbm(tx_beam, rx_beam) - clean_floor_dbm();
 }
 
 }  // namespace libra::channel

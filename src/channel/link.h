@@ -11,6 +11,7 @@
 #include "channel/link_budget.h"
 #include "channel/path_tracer.h"
 #include "env/environment.h"
+#include "util/units.h"
 
 namespace libra::channel {
 
@@ -26,7 +27,36 @@ struct Interferer {
   geom::Vec2 position;
   double eirp_dbm = 20.0;
   double duty_cycle = 1.0;  // fraction of airtime the interferer transmits
+
+  bool operator==(const Interferer&) const = default;
 };
+
+// Received power reported when no path (or no interferer) reaches the Rx.
+inline constexpr double kNoSignalDbm = -200.0;
+
+// The direction-independent losses of one traced path, evaluated from the
+// link's current state (blockers included).
+struct PathLoss {
+  double path_loss_db = 0.0;        // FSPL + O2 absorption + impl. loss
+  double reflection_loss_db = 0.0;  // sum of per-bounce material losses
+  double blockage_db = 0.0;         // summed over legs, in blocker order
+};
+
+// Received power (dBm) of one path through a beam pair. Link's per-pair
+// queries and BeamGrid both evaluate exactly this expression, in this
+// operand order, so a grid SNR is bit-identical to the per-pair query.
+inline double path_power_dbm(double tx_power_dbm, double tx_gain_dbi,
+                             double rx_gain_dbi, const PathLoss& loss) {
+  return tx_power_dbm + tx_gain_dbi + rx_gain_dbi - loss.path_loss_db -
+         loss.reflection_loss_db - loss.blockage_db;
+}
+
+// Total received power from the path-order sum of per-path powers (mW):
+// the non-coherent sum plus the fade, or -200 dBm when nothing arrives.
+inline double total_power_dbm(double total_mw, double fade_db) {
+  if (total_mw <= 0.0) return kNoSignalDbm;
+  return libra::util::mw_to_dbm(total_mw) + fade_db;
+}
 
 struct PathContribution {
   double rx_power_dbm;  // through the current beam pair, incl. blockage
@@ -46,6 +76,9 @@ class Link {
   // (blockage is applied per query).
   void refresh();
 
+  // Direction-independent losses of one of paths() (blockage per leg).
+  PathLoss path_loss(const Path& p) const;
+
   // Per-path received power for a beam pair (blockage applied per leg).
   std::vector<PathContribution> contributions(array::BeamId tx_beam,
                                               array::BeamId rx_beam) const;
@@ -63,6 +96,10 @@ class Link {
   double snr_clean_db(array::BeamId tx_beam, array::BeamId rx_beam) const;
 
   double thermal_floor_dbm() const { return thermal_floor_dbm_; }
+  // Noise floor between interferer bursts: thermal + flat rise.
+  double clean_floor_dbm() const {
+    return thermal_floor_dbm_ + interference_rise_db_;
+  }
   // Effective noise floor for a given Rx beam. With kQuasiOmni this is what
   // a COTS device would report as its noise level.
   double noise_floor_dbm(array::BeamId rx_beam = array::kQuasiOmni) const;
@@ -79,8 +116,14 @@ class Link {
   double interference_rise_db() const { return interference_rise_db_; }
 
   // Directional hidden-terminal interferer; coupling depends on the Rx beam.
+  // Setting the interferer already in place is a no-op (no re-trace): after
+  // moving the Rx, call refresh(), which re-traces the interferer too.
   void set_interferer(std::optional<Interferer> interferer);
   const std::optional<Interferer>& interferer() const { return interferer_; }
+  // Fraction of airtime the interferer jams (0 with no interferer).
+  double interferer_duty() const {
+    return interferer_ ? interferer_->duty_cycle : 0.0;
+  }
   // Interference power (dBm) leaking into the given Rx beam; -inf-ish floor
   // when no interferer is present.
   double interference_power_dbm(array::BeamId rx_beam) const;

@@ -185,8 +185,7 @@ DecisionRequest LinkController::observe(util::Rng& rng) {
 
   // This specific frame either collides with an interference burst or not;
   // its ACK and goodput follow the instantaneous SINR, not the average.
-  const double duty =
-      link_->interferer() ? link_->interferer()->duty_cycle : 0.0;
+  const double duty = link_->interferer_duty();
   const bool jammed = duty > 0.0 && rng.bernoulli(duty);
   const double frame_snr = jammed
                                ? link_->snr_db(tx_beam_, rx_beam_)

@@ -20,6 +20,8 @@ struct Blocker {
   geom::Vec2 position;
   double radius_m = 0.25;
   double attenuation_db = 28.0;
+
+  bool operator==(const Blocker&) const = default;
 };
 
 class Environment {

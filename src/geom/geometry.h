@@ -19,6 +19,7 @@ struct Vec2 {
   Vec2 operator+(Vec2 o) const { return {x + o.x, y + o.y}; }
   Vec2 operator-(Vec2 o) const { return {x - o.x, y - o.y}; }
   Vec2 operator*(double s) const { return {x * s, y * s}; }
+  bool operator==(const Vec2&) const = default;
   double dot(Vec2 o) const { return x * o.x + y * o.y; }
   double cross(Vec2 o) const { return x * o.y - y * o.x; }
   double norm() const { return std::hypot(x, y); }

@@ -8,18 +8,32 @@ namespace {
 double probes_to_ms(int probes, const BeamTrainerConfig& cfg) {
   return static_cast<double>(probes) * cfg.probe_us / 1000.0;
 }
+
+// The calling thread's sweep grid, rebuilt for `link`. Sweeps never nest,
+// so one grid per thread serves them all without allocating per sweep.
+const channel::BeamGrid& scratch_grid(const channel::Link& link) {
+  thread_local channel::BeamGrid grid;
+  grid.build(link);
+  return grid;
+}
 }  // namespace
 
 SweepResult BeamTrainer::exhaustive(const channel::Link& link,
                                     const phy::PhySampler& sampler,
                                     util::Rng& rng) const {
+  return exhaustive(scratch_grid(link), sampler, rng);
+}
+
+SweepResult BeamTrainer::exhaustive(const channel::BeamGrid& grid,
+                                    const phy::PhySampler& sampler,
+                                    util::Rng& rng) const {
   SweepResult best;
   best.snr_db = -1e9;
-  const int n_tx = link.tx().codebook().size();
-  const int n_rx = link.rx().codebook().size();
+  const int n_tx = grid.num_tx_beams();
+  const int n_rx = grid.num_rx_beams();
   for (array::BeamId tb = 0; tb < n_tx; ++tb) {
     for (array::BeamId rb = 0; rb < n_rx; ++rb) {
-      const double snr = sampler.measure_snr_db(link, tb, rb, rng);
+      const double snr = sampler.measure_snr_db(grid, tb, rb, rng);
       ++best.measurements;
       if (snr > best.snr_db) {
         best.snr_db = snr;
@@ -35,11 +49,12 @@ SweepResult BeamTrainer::exhaustive(const channel::Link& link,
 SweepResult BeamTrainer::sls_80211ad(const channel::Link& link,
                                      const phy::PhySampler& sampler,
                                      util::Rng& rng) const {
+  const channel::BeamGrid& grid = scratch_grid(link);
   SweepResult best;
   best.snr_db = -1e9;
   // Phase 1: Tx sweep, quasi-omni reception.
-  for (array::BeamId tb = 0; tb < link.tx().codebook().size(); ++tb) {
-    const double snr = sampler.measure_snr_db(link, tb, array::kQuasiOmni, rng);
+  for (array::BeamId tb = 0; tb < grid.num_tx_beams(); ++tb) {
+    const double snr = sampler.measure_snr_db(grid, tb, array::kQuasiOmni, rng);
     ++best.measurements;
     if (snr > best.snr_db) {
       best.snr_db = snr;
@@ -51,8 +66,8 @@ SweepResult BeamTrainer::sls_80211ad(const channel::Link& link,
   // equivalent for pair selection and matches what devices do in practice.
   double best_rx_snr = -1e9;
   best.rx_beam = 0;
-  for (array::BeamId rb = 0; rb < link.rx().codebook().size(); ++rb) {
-    const double snr = sampler.measure_snr_db(link, best.tx_beam, rb, rng);
+  for (array::BeamId rb = 0; rb < grid.num_rx_beams(); ++rb) {
+    const double snr = sampler.measure_snr_db(grid, best.tx_beam, rb, rng);
     ++best.measurements;
     if (snr > best_rx_snr) {
       best_rx_snr = snr;
@@ -67,11 +82,12 @@ SweepResult BeamTrainer::sls_80211ad(const channel::Link& link,
 SweepResult BeamTrainer::sls_tx_only(const channel::Link& link,
                                      const phy::PhySampler& sampler,
                                      util::Rng& rng) const {
+  const channel::BeamGrid& grid = scratch_grid(link);
   SweepResult best;
   best.snr_db = -1e9;
   best.rx_beam = array::kQuasiOmni;
-  for (array::BeamId tb = 0; tb < link.tx().codebook().size(); ++tb) {
-    const double snr = sampler.measure_snr_db(link, tb, array::kQuasiOmni, rng);
+  for (array::BeamId tb = 0; tb < grid.num_tx_beams(); ++tb) {
+    const double snr = sampler.measure_snr_db(grid, tb, array::kQuasiOmni, rng);
     ++best.measurements;
     if (snr > best.snr_db) {
       best.snr_db = snr;
@@ -86,16 +102,17 @@ SweepResult BeamTrainer::coarse_fine(const channel::Link& link,
                                      const phy::PhySampler& sampler,
                                      util::Rng& rng, int stride,
                                      int radius) const {
+  const channel::BeamGrid& grid = scratch_grid(link);
   SweepResult best;
   best.snr_db = -1e9;
-  const int n_tx = link.tx().codebook().size();
-  const int n_rx = link.rx().codebook().size();
+  const int n_tx = grid.num_tx_beams();
+  const int n_rx = grid.num_rx_beams();
 
   // Level 1: coarse grid, offset so the probes straddle the span center.
   const int offset = stride / 2;
   for (array::BeamId tb = offset; tb < n_tx; tb += stride) {
     for (array::BeamId rb = offset; rb < n_rx; rb += stride) {
-      const double snr = sampler.measure_snr_db(link, tb, rb, rng);
+      const double snr = sampler.measure_snr_db(grid, tb, rb, rng);
       ++best.measurements;
       if (snr > best.snr_db) {
         best.snr_db = snr;
@@ -113,7 +130,7 @@ SweepResult BeamTrainer::coarse_fine(const channel::Link& link,
     for (array::BeamId rb = std::max(0, coarse_rx - radius);
          rb <= std::min(n_rx - 1, coarse_rx + radius); ++rb) {
       if (tb == coarse_tx && rb == coarse_rx) continue;  // already measured
-      const double snr = sampler.measure_snr_db(link, tb, rb, rng);
+      const double snr = sampler.measure_snr_db(grid, tb, rb, rng);
       ++best.measurements;
       if (snr > best.snr_db) {
         best.snr_db = snr;

@@ -10,9 +10,17 @@
 //
 // Each returns the selected pair, its SNR, the number of probe measurements
 // and the sweep airtime (per-probe time x probes).
+//
+// Every sweep reads its probes from a channel::BeamGrid built in per-thread
+// scratch. A caller that probes the same channel state again (the
+// collector's failover scan) builds its own grid and passes it to the grid
+// overload of exhaustive(). Either way each probe draws its jitter from
+// `rng` in probe order, and results are bit-identical to probing the Link
+// pair by pair.
 #pragma once
 
 #include "array/codebook.h"
+#include "channel/beam_grid.h"
 #include "channel/link.h"
 #include "phy/sampler.h"
 #include "util/rng.h"
@@ -38,6 +46,9 @@ class BeamTrainer {
   explicit BeamTrainer(BeamTrainerConfig cfg = {}) : cfg_(cfg) {}
 
   SweepResult exhaustive(const channel::Link& link,
+                         const phy::PhySampler& sampler, util::Rng& rng) const;
+  // Sweep a grid the caller built on the link's current state.
+  SweepResult exhaustive(const channel::BeamGrid& grid,
                          const phy::PhySampler& sampler, util::Rng& rng) const;
 
   SweepResult sls_80211ad(const channel::Link& link,

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -74,32 +75,63 @@ struct Ring {
   std::uint32_t tid = 0;
 };
 
+// Rings of one buffer. A ring outlives the thread that recorded into it
+// (its events stay exportable), and when that thread exits the ring goes
+// on `free` for the next new thread to adopt, so a process that keeps
+// starting threads (a fresh pool per run) holds no more rings than it ever
+// had threads alive at once.
+struct RingSet {
+  std::mutex mu;
+  std::vector<std::shared_ptr<Ring>> rings;
+  std::vector<std::shared_ptr<Ring>> free;
+};
+
 struct RingCacheEntry {
   std::uint64_t uid = 0;
+  std::weak_ptr<RingSet> set;  // the buffer may die before the thread
   std::shared_ptr<Ring> ring;
 };
 
+// The calling thread's rings, one per buffer it recorded into; handed back
+// to their buffers when the thread exits.
+struct RingCache {
+  std::vector<RingCacheEntry> entries;
+  ~RingCache() {
+    for (RingCacheEntry& e : entries) {
+      if (const std::shared_ptr<RingSet> set = e.set.lock()) {
+        std::lock_guard<std::mutex> lock(set->mu);
+        set->free.push_back(std::move(e.ring));
+      }
+    }
+  }
+};
+
 std::atomic<std::uint64_t> g_buffer_uid{0};
-thread_local std::vector<RingCacheEntry> t_ring_cache;
+thread_local RingCache t_ring_cache;
 
 }  // namespace
 
 struct TraceBuffer::Impl {
   std::uint64_t uid = ++g_buffer_uid;
-  mutable std::mutex mu;
-  std::vector<std::shared_ptr<Ring>> rings;
+  std::shared_ptr<RingSet> set = std::make_shared<RingSet>();
 
   Ring& local_ring() {
-    for (const RingCacheEntry& e : t_ring_cache) {
+    for (const RingCacheEntry& e : t_ring_cache.entries) {
       if (e.uid == uid) return *e.ring;
     }
-    auto ring = std::make_shared<Ring>();
+    std::shared_ptr<Ring> ring;
     {
-      std::lock_guard<std::mutex> lock(mu);
-      ring->tid = static_cast<std::uint32_t>(rings.size() + 1);
-      rings.push_back(ring);
+      std::lock_guard<std::mutex> lock(set->mu);
+      if (!set->free.empty()) {
+        ring = std::move(set->free.back());
+        set->free.pop_back();
+      } else {
+        ring = std::make_shared<Ring>();
+        ring->tid = static_cast<std::uint32_t>(set->rings.size() + 1);
+        set->rings.push_back(ring);
+      }
     }
-    t_ring_cache.push_back({uid, ring});
+    t_ring_cache.entries.push_back({uid, set, ring});
     return *ring;
   }
 };
@@ -134,18 +166,23 @@ void set_trace_process(std::uint32_t pid, std::string name) {
 }
 
 std::size_t TraceBuffer::event_count() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
+  std::lock_guard<std::mutex> lock(impl_->set->mu);
   std::size_t total = 0;
-  for (const std::shared_ptr<Ring>& ring : impl_->rings) {
+  for (const std::shared_ptr<Ring>& ring : impl_->set->rings) {
     total += static_cast<std::size_t>(std::min<std::uint64_t>(
         ring->head.load(std::memory_order_acquire), kTraceRingCapacity));
   }
   return total;
 }
 
+std::size_t TraceBuffer::ring_count() const {
+  std::lock_guard<std::mutex> lock(impl_->set->mu);
+  return impl_->set->rings.size();
+}
+
 void TraceBuffer::clear() {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  for (const std::shared_ptr<Ring>& ring : impl_->rings) {
+  std::lock_guard<std::mutex> lock(impl_->set->mu);
+  for (const std::shared_ptr<Ring>& ring : impl_->set->rings) {
     ring->head.store(0, std::memory_order_release);
   }
 }
@@ -177,8 +214,8 @@ std::string TraceBuffer::to_chrome_json() const {
        << ",\"tid\":0,\"args\":{\"name\":\"" << pname << "\"}}";
     first = false;
   }
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  for (const std::shared_ptr<Ring>& ring : impl_->rings) {
+  std::lock_guard<std::mutex> lock(impl_->set->mu);
+  for (const std::shared_ptr<Ring>& ring : impl_->set->rings) {
     const std::uint64_t head = ring->head.load(std::memory_order_acquire);
     const std::uint64_t n = std::min<std::uint64_t>(head, kTraceRingCapacity);
     // Oldest surviving event first (ring order once wrapped).

@@ -8,7 +8,10 @@
 //
 // Each thread owns a fixed-capacity ring (oldest events overwritten), so
 // recording is wait-free and memory is bounded no matter how long a run
-// is. `TraceBuffer::global().write_chrome_json(path)` dumps complete
+// is. A thread's ring is recycled when the thread exits: the next new
+// thread adopts it (keeping its tid row and its surviving events) instead
+// of allocating, so rings never outnumber the peak of concurrently live
+// recording threads. `TraceBuffer::global().write_chrome_json(path)` dumps complete
 // "ph":"X" duration events; export is meant to run when workers are
 // quiescent (end of a run / a bench), matching how the CLI and tests use
 // it.
@@ -102,6 +105,8 @@ class TraceBuffer {
 
   // Total events currently buffered across threads (capped by the rings).
   std::size_t event_count() const;
+  // Rings allocated so far (live threads' plus recycled ones).
+  std::size_t ring_count() const;
   // Drop all buffered events (tests/benches). Only safe when quiescent.
   void clear();
 

@@ -37,7 +37,7 @@ FrameResult FrameTransmitter::transmit(const channel::Link& link,
       mcs, link.snr_clean_db(tx_beam, rx_beam));
   const double p_jam =
       error_model_->codeword_success_prob(mcs, link.snr_db(tx_beam, rx_beam));
-  const double duty = link.interferer() ? link.interferer()->duty_cycle : 0.0;
+  const double duty = link.interferer_duty();
 
   // A CSMA burst occupies a contiguous run of slots with a random start.
   result.jammed_slots = static_cast<int>(std::lround(duty * slots));

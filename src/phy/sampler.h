@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "array/codebook.h"
+#include "channel/beam_grid.h"
 #include "channel/link.h"
 #include "phy/error_model.h"
 #include "phy/pdp.h"
@@ -45,6 +46,10 @@ class PhySampler {
 
   // Quick SNR-only measurement, as used during a sector sweep.
   double measure_snr_db(const channel::Link& link, array::BeamId tx_beam,
+                        array::BeamId rx_beam, util::Rng& rng) const;
+  // The same measurement read from a grid built on the link's current
+  // state: bit-identical value, identical Rng draws.
+  double measure_snr_db(const channel::BeamGrid& grid, array::BeamId tx_beam,
                         array::BeamId rx_beam, util::Rng& rng) const;
 
   const ErrorModel& error_model() const { return *error_model_; }

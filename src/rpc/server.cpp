@@ -188,8 +188,11 @@ void DecisionServer::start() {
     throw std::runtime_error("DecisionServer: listen(): " + err);
   }
 
-  const int resolved = util::ThreadPool::resolve(cfg_.num_workers);
-  workers_ = std::make_unique<util::ThreadPool>(std::max(resolved, 2));
+  // ThreadPool(n) runs n - 1 threads and expects the submitter to help, but
+  // the accept thread never runs tasks: one extra slot gives num_workers
+  // handler threads, i.e. num_workers concurrently served connections.
+  const int handlers = std::max(util::ThreadPool::resolve(cfg_.num_workers), 2);
+  workers_ = std::make_unique<util::ThreadPool>(handlers + 1);
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] { accept_loop(); });
 }

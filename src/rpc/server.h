@@ -39,9 +39,10 @@ struct ServerConfig {
   std::string unix_socket;
   std::string host = "127.0.0.1";
   int port = 0;  // TCP only; 0 picks an ephemeral port (see DecisionServer::port())
-  // Connection-handler workers (a handler owns its connection until the
-  // peer disconnects). Follows the library knob convention, clamped to a
-  // minimum of 2 so one camped connection cannot starve the accept queue.
+  // Connection-handler threads (a handler owns its connection until the
+  // peer disconnects), so N workers serve N concurrent connections.
+  // Follows the library knob convention, clamped to a minimum of 2 so one
+  // camped connection cannot starve the accept queue.
   int num_workers = 4;
   int listen_backlog = 16;
   // Compilation config for pushed models (ModelPush recompiles on arrival;

@@ -85,21 +85,31 @@ void SessionDriver::apply_dynamics(double t_ms) {
       moved = true;
     }
   }
-  environment_->clear_blockers();
+  // Blockage sums over blockers in insertion order, so the active set is
+  // rebuilt in episode order -- and only when it differs from what the
+  // environment already holds.
+  active_blockers_.clear();
   for (const BlockageEpisode& ep : script_.blockage) {
     if (t_ms >= ep.start_ms && t_ms < ep.end_ms) {
-      environment_->add_blocker(ep.blocker);
+      active_blockers_.push_back(ep.blocker);
     }
   }
-  bool interferer_set = false;
+  if (active_blockers_ != environment_->blockers()) {
+    environment_->clear_blockers();
+    for (const env::Blocker& b : active_blockers_) {
+      environment_->add_blocker(b);
+    }
+  }
+  // An unchanged interferer is a no-op in set_interferer; a moved Rx
+  // re-traces the interferer paths in refresh().
+  std::optional<channel::Interferer> interferer;
   for (const InterferenceEpisode& ep : script_.interference) {
     if (t_ms >= ep.start_ms && t_ms < ep.end_ms) {
-      link_->set_interferer(ep.interferer);
-      interferer_set = true;
+      interferer = ep.interferer;
       break;
     }
   }
-  if (!interferer_set) link_->set_interferer(std::nullopt);
+  link_->set_interferer(interferer);
   if (moved) link_->refresh();
 }
 

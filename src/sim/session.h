@@ -138,6 +138,7 @@ class SessionDriver {
   int dead_frames_ = 0;
   double outage_start_ = 0.0;
   double last_t_ms_ = 0.0;
+  std::vector<env::Blocker> active_blockers_;  // apply_dynamics scratch
 };
 
 // Drive a controller through the script. The session mutates the

@@ -145,8 +145,10 @@ CaseRecord TraceCollector::collect(env::Environment& environment, const Case& c,
 
   // --- Initial state ---
   apply_state(environment, link, c.initial, 0.0);
+  // The sweep and the failover scan probe the same channel state.
+  const channel::BeamGrid init_grid(link);
   const mac::SweepResult init_sweep =
-      trainer_.exhaustive(link, sweep_sampler_, rng);
+      trainer_.exhaustive(init_grid, sweep_sampler_, rng);
   rec.init_best = measure_pair(link, init_sweep.tx_beam, init_sweep.rx_beam,
                                rng);
   rec.init_mcs = rec.init_best.best_mcs(cfg_.min_tput_mbps, cfg_.min_cdr);
@@ -161,7 +163,8 @@ CaseRecord TraceCollector::collect(env::Environment& environment, const Case& c,
         continue;
       }
       for (array::BeamId rb = 0; rb < codebook.size(); ++rb) {
-        const double snr = sweep_sampler_.measure_snr_db(link, tb, rb, rng);
+        const double snr =
+            sweep_sampler_.measure_snr_db(init_grid, tb, rb, rng);
         if (snr > fo_snr) {
           fo_snr = snr;
           fo_tx = tb;

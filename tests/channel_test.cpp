@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "channel/beam_grid.h"
 #include "channel/fading.h"
 #include "channel/link.h"
 #include "channel/link_budget.h"
 #include "channel/path_tracer.h"
 #include "env/registry.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace libra::channel {
@@ -254,6 +258,114 @@ TEST_F(LinkFixture, FadeOffsetsSignalNotNoise) {
   EXPECT_NEAR(link.noise_floor_dbm(12), floor0, 1e-12);
   link.set_fade_db(0.0);
   EXPECT_NEAR(link.snr_db(12, 12), snr0, 1e-9);
+}
+
+TEST_F(LinkFixture, SameInterfererIsANoOpAndRefreshRetracesIt) {
+  const Interferer burst{{10, 2}, 40.0, 0.5};
+  link.set_interferer(burst);
+  // Moving the Rx and re-setting the same interferer does not re-trace;
+  // refresh() re-traces both the link and the interferer paths.
+  rx.set_position({14, 7});
+  link.set_interferer(burst);
+  link.refresh();
+  array::PhasedArray rx2({14, 7}, 180.0, &codebook);
+  Link fresh(&environment, &tx, &rx2);
+  fresh.set_interferer(burst);
+  for (array::BeamId b = array::kQuasiOmni; b < codebook.size(); ++b) {
+    EXPECT_EQ(link.noise_floor_dbm(b), fresh.noise_floor_dbm(b)) << b;
+  }
+  // A changed interferer does take effect.
+  link.set_interferer(Interferer{{10, 2}, 50.0, 0.5});
+  EXPECT_GT(link.noise_floor_dbm(12), fresh.noise_floor_dbm(12));
+}
+
+// ---------- beam grid ----------
+
+// Bit pattern of a double: equality here means the grid is bit-exact, not
+// merely close.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Every beam pair (kQuasiOmni included on the Rx side) of `grid` against
+// the per-pair Link queries, bit for bit.
+void expect_grid_matches_link(const BeamGrid& grid, const Link& link) {
+  const int n_tx = link.tx().codebook().size();
+  const int n_rx = link.rx().codebook().size();
+  ASSERT_EQ(grid.num_tx_beams(), n_tx);
+  ASSERT_EQ(grid.num_rx_beams(), n_rx);
+  EXPECT_EQ(bits(grid.clean_floor_dbm()),
+            bits(link.thermal_floor_dbm() + link.interference_rise_db()));
+  EXPECT_EQ(bits(grid.interferer_duty()), bits(link.interferer_duty()));
+  for (array::BeamId rb = array::kQuasiOmni; rb < n_rx; ++rb) {
+    ASSERT_EQ(bits(grid.noise_floor_dbm(rb)), bits(link.noise_floor_dbm(rb)))
+        << "rx " << rb;
+    for (array::BeamId tb = 0; tb < n_tx; ++tb) {
+      ASSERT_EQ(bits(grid.rx_power_dbm(tb, rb)),
+                bits(link.rx_power_dbm(tb, rb)))
+          << "pair " << tb << "," << rb;
+      ASSERT_EQ(bits(grid.snr_clean_db(tb, rb)),
+                bits(link.snr_clean_db(tb, rb)))
+          << "pair " << tb << "," << rb;
+      ASSERT_EQ(bits(grid.snr_db(tb, rb)), bits(link.snr_db(tb, rb)))
+          << "pair " << tb << "," << rb;
+    }
+  }
+}
+
+TEST(BeamGrid, MatchesPerPairQueriesInRegistryRooms) {
+  // Random poses in every registry room, each with two blockers on the LOS
+  // (blockage sums in blocker order), a fade, a flat rise and (every other
+  // pose) an interferer.
+  const array::Codebook codebook;
+  std::vector<env::Environment> rooms = env::training_environments();
+  for (env::Environment& e : env::testing_environments()) {
+    rooms.push_back(std::move(e));
+  }
+  util::Rng rng(12);
+  BeamGrid grid;  // one grid rebuilt for every state, like a sweep's scratch
+  int pose = 0;
+  for (env::Environment& room : rooms) {
+    const env::Environment::BoundingBox bb = room.bounding_box();
+    const auto random_point = [&] {
+      return room.clamp_inside({rng.uniform(bb.min.x, bb.max.x),
+                                rng.uniform(bb.min.y, bb.max.y)});
+    };
+    for (int i = 0; i < 3; ++i, ++pose) {
+      SCOPED_TRACE(room.name() + " pose " + std::to_string(i));
+      const geom::Vec2 tx_pos = random_point();
+      const geom::Vec2 rx_pos = random_point();
+      array::PhasedArray tx(tx_pos, rng.uniform(-180.0, 180.0), &codebook);
+      array::PhasedArray rx(rx_pos, rng.uniform(-180.0, 180.0), &codebook);
+      room.clear_blockers();
+      room.add_blocker({(tx_pos + rx_pos) * 0.5, 0.3, 25.0});
+      room.add_blocker({tx_pos + (rx_pos - tx_pos) * 0.3, 0.25, 18.0});
+      Link link(&room, &tx, &rx);
+      link.set_fade_db(rng.gaussian(0.0, 2.0));
+      link.set_interference_rise_db(rng.uniform(0.0, 6.0));
+      if (pose % 2 == 0) {
+        link.set_interferer(
+            Interferer{random_point(), rng.uniform(10.0, 40.0), 0.5});
+      }
+      grid.build(link);
+      expect_grid_matches_link(grid, link);
+    }
+    room.clear_blockers();
+  }
+}
+
+TEST(BeamGrid, NoPathLinkReportsTheNoSignalFloor) {
+  // Tx and Rx on either side of one long wall: the LOS is cut, and the
+  // only reflector faces each end back onto its own side.
+  const env::Environment split(
+      "split", {{{{5, -50}, {5, 50}}, 99.0, "wall"}});
+  const array::Codebook codebook;
+  array::PhasedArray tx({0, 0}, 0.0, &codebook);
+  array::PhasedArray rx({10, 0}, 180.0, &codebook);
+  Link link(&split, &tx, &rx);
+  link.set_fade_db(-2.0);
+  ASSERT_TRUE(link.paths().empty());
+  const BeamGrid grid(link);
+  EXPECT_EQ(grid.rx_power_dbm(12, 12), kNoSignalDbm);
+  expect_grid_matches_link(grid, link);
 }
 
 TEST(Fading, StationaryStatistics) {

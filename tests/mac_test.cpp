@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
+
 #include "env/registry.h"
 #include "mac/ack.h"
 #include "mac/beacon_interval.h"
@@ -7,6 +12,7 @@
 #include "mac/beam_training.h"
 #include "mac/timing.h"
 #include "phy/sampler.h"
+#include "util/rng.h"
 
 namespace libra::mac {
 namespace {
@@ -265,6 +271,190 @@ TEST_F(TrainerFixture, SweepTracksRotatedRx) {
   const SweepResult r = trainer.exhaustive(link, sampler, rng);
   // The Tx->Rx arrival is at world 180; array frame 180-135=45 -> beam 21.
   EXPECT_NEAR(r.rx_beam, 21, 1);
+}
+
+// ---------- grid-backed sweeps vs a per-pair reference ----------
+
+// One probe exactly as a sweep measured it before sweeps read a BeamGrid:
+// two per-pair Link queries averaged over the interferer duty, plus the
+// probe jitter.
+double reference_probe(const channel::Link& link, const phy::PhySampler& s,
+                       array::BeamId tb, array::BeamId rb, util::Rng& rng) {
+  const double duty =
+      link.interferer() ? link.interferer()->duty_cycle : 0.0;
+  const double avg = (1.0 - duty) * link.snr_clean_db(tb, rb) +
+                     duty * link.snr_db(tb, rb);
+  return avg + rng.gaussian(0.0, s.config().snr_jitter_db);
+}
+
+// Probe (tb, rb) and keep it when it beats `best` on strict improvement.
+void probe_into(SweepResult& best, const channel::Link& link,
+                const phy::PhySampler& s, array::BeamId tb, array::BeamId rb,
+                util::Rng& rng) {
+  const double snr = reference_probe(link, s, tb, rb, rng);
+  ++best.measurements;
+  if (snr > best.snr_db) {
+    best.snr_db = snr;
+    best.tx_beam = tb;
+    best.rx_beam = rb;
+  }
+}
+
+SweepResult reference_exhaustive(const channel::Link& link,
+                                 const phy::PhySampler& s, util::Rng& rng) {
+  SweepResult best;
+  best.snr_db = -1e9;
+  const int n = link.tx().codebook().size();
+  for (array::BeamId tb = 0; tb < n; ++tb) {
+    for (array::BeamId rb = 0; rb < link.rx().codebook().size(); ++rb) {
+      probe_into(best, link, s, tb, rb, rng);
+    }
+  }
+  return best;
+}
+
+SweepResult reference_sls_tx_only(const channel::Link& link,
+                                  const phy::PhySampler& s, util::Rng& rng) {
+  SweepResult best;
+  best.snr_db = -1e9;
+  best.rx_beam = array::kQuasiOmni;
+  for (array::BeamId tb = 0; tb < link.tx().codebook().size(); ++tb) {
+    probe_into(best, link, s, tb, array::kQuasiOmni, rng);
+  }
+  return best;
+}
+
+SweepResult reference_sls_80211ad(const channel::Link& link,
+                                  const phy::PhySampler& s, util::Rng& rng) {
+  SweepResult best = reference_sls_tx_only(link, s, rng);
+  SweepResult rx_phase;
+  rx_phase.snr_db = -1e9;
+  rx_phase.rx_beam = 0;
+  for (array::BeamId rb = 0; rb < link.rx().codebook().size(); ++rb) {
+    probe_into(rx_phase, link, s, best.tx_beam, rb, rng);
+  }
+  best.rx_beam = rx_phase.rx_beam;
+  best.snr_db = rx_phase.snr_db;
+  best.measurements += rx_phase.measurements;
+  return best;
+}
+
+SweepResult reference_coarse_fine(const channel::Link& link,
+                                  const phy::PhySampler& s, util::Rng& rng,
+                                  int stride, int radius) {
+  SweepResult best;
+  best.snr_db = -1e9;
+  const int n_tx = link.tx().codebook().size();
+  const int n_rx = link.rx().codebook().size();
+  for (array::BeamId tb = stride / 2; tb < n_tx; tb += stride) {
+    for (array::BeamId rb = stride / 2; rb < n_rx; rb += stride) {
+      probe_into(best, link, s, tb, rb, rng);
+    }
+  }
+  const array::BeamId ctx = best.tx_beam;
+  const array::BeamId crx = best.rx_beam;
+  for (array::BeamId tb = std::max(0, ctx - radius);
+       tb <= std::min(n_tx - 1, ctx + radius); ++tb) {
+    for (array::BeamId rb = std::max(0, crx - radius);
+         rb <= std::min(n_rx - 1, crx + radius); ++rb) {
+      if (tb == ctx && rb == crx) continue;
+      probe_into(best, link, s, tb, rb, rng);
+    }
+  }
+  return best;
+}
+
+void expect_same_sweep(const SweepResult& got, const SweepResult& want) {
+  EXPECT_EQ(got.tx_beam, want.tx_beam);
+  EXPECT_EQ(got.rx_beam, want.rx_beam);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.snr_db),
+            std::bit_cast<std::uint64_t>(want.snr_db));
+  EXPECT_EQ(got.measurements, want.measurements);
+}
+
+// Each sweep, run on the trainer and on the reference from the same seed,
+// must select the same pair with the same SNR bits and leave the Rng in the
+// same state.
+void expect_sweeps_match_reference(const channel::Link& link,
+                                   const phy::PhySampler& sampler,
+                                   std::uint64_t seed) {
+  const BeamTrainer trainer;
+  using Sweep = std::function<SweepResult(util::Rng&)>;
+  const std::pair<Sweep, Sweep> cases[] = {
+      {[&](util::Rng& r) { return trainer.exhaustive(link, sampler, r); },
+       [&](util::Rng& r) { return reference_exhaustive(link, sampler, r); }},
+      {[&](util::Rng& r) { return trainer.sls_80211ad(link, sampler, r); },
+       [&](util::Rng& r) { return reference_sls_80211ad(link, sampler, r); }},
+      {[&](util::Rng& r) { return trainer.sls_tx_only(link, sampler, r); },
+       [&](util::Rng& r) { return reference_sls_tx_only(link, sampler, r); }},
+      {[&](util::Rng& r) { return trainer.coarse_fine(link, sampler, r); },
+       [&](util::Rng& r) {
+         return reference_coarse_fine(link, sampler, r, 5, 2);
+       }},
+      {[&](util::Rng& r) {
+         return trainer.coarse_fine(link, sampler, r, 7, 3);
+       },
+       [&](util::Rng& r) {
+         return reference_coarse_fine(link, sampler, r, 7, 3);
+       }},
+  };
+  int index = 0;
+  for (const auto& [sweep, reference] : cases) {
+    SCOPED_TRACE("sweep " + std::to_string(index++));
+    util::Rng got_rng(seed);
+    util::Rng want_rng(seed);
+    expect_same_sweep(sweep(got_rng), reference(want_rng));
+    EXPECT_TRUE(got_rng.engine() == want_rng.engine());
+  }
+}
+
+TEST(GridSweeps, MatchPerPairReferenceOnRegistryLinks) {
+  // Default (not low-noise) probe jitter, so near-ties really are decided
+  // by the jitter draws.
+  const phy::McsTable table;
+  const phy::ErrorModel em(&table);
+  const phy::PhySampler sampler(&em);
+  const array::Codebook codebook;
+  env::Environment lab = env::make_lab();
+  const env::Environment::BoundingBox bb = lab.bounding_box();
+  util::Rng poses(21);
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE("pose " + std::to_string(i));
+    const geom::Vec2 tx_pos = lab.clamp_inside(
+        {poses.uniform(bb.min.x, bb.max.x), poses.uniform(bb.min.y, bb.max.y)});
+    const geom::Vec2 rx_pos = lab.clamp_inside(
+        {poses.uniform(bb.min.x, bb.max.x), poses.uniform(bb.min.y, bb.max.y)});
+    array::PhasedArray tx(tx_pos, poses.uniform(-180.0, 180.0), &codebook);
+    array::PhasedArray rx(rx_pos, poses.uniform(-180.0, 180.0), &codebook);
+    lab.clear_blockers();
+    if (i >= 1) lab.add_blocker({(tx_pos + rx_pos) * 0.5, 0.3, 25.0});
+    channel::Link link(&lab, &tx, &rx);
+    if (i >= 2) link.set_fade_db(-2.5);
+    if (i >= 3) {
+      link.set_interferer(channel::Interferer{
+          lab.clamp_inside(bb.min + (bb.max - bb.min) * 0.25), 30.0, 0.5});
+    }
+    expect_sweeps_match_reference(link, sampler, 100 + i);
+  }
+}
+
+TEST_F(TrainerFixture, GridSweepsMatchPerPairReference) {
+  expect_sweeps_match_reference(link, sampler, 9);
+}
+
+TEST_F(TrainerFixture, GridOverloadEqualsLinkOverload) {
+  // A caller-built grid (the collector's failover path) sweeps exactly like
+  // the Link overload's per-thread scratch grid.
+  const BeamTrainer trainer;
+  const channel::BeamGrid grid(link);
+  util::Rng a(10), b(10);
+  expect_same_sweep(trainer.exhaustive(grid, sampler, a),
+                    trainer.exhaustive(link, sampler, b));
+  EXPECT_TRUE(a.engine() == b.engine());
+  for (array::BeamId rb = array::kQuasiOmni; rb < codebook.size(); ++rb) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sampler.measure_snr_db(grid, 3, rb, a)),
+              std::bit_cast<std::uint64_t>(sampler.measure_snr_db(link, 3, rb, b)));
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -806,6 +807,48 @@ TEST(ObsTrace, MergeChromeJsonSplicesDocuments) {
 }
 
 #endif  // LIBRA_OBS_ENABLED
+
+TEST(ObsTrace, RingsAreRecycledAcrossThreadChurn) {
+  // 64 short-lived threads, at most kConcurrent alive at once (a fresh
+  // pool per run, many runs). Exited threads hand their rings back, so
+  // the ring count is bounded by the concurrency, not the thread count,
+  // and every recorded event is still exported as valid JSON.
+  constexpr int kThreads = 64;
+  constexpr int kConcurrent = 4;
+  constexpr int kSpansPerThread = 10;
+  obs::TraceBuffer buf;
+  for (int wave = 0; wave < kThreads / kConcurrent; ++wave) {
+    // Each wave's threads all hold a ring at once before any exits.
+    std::latch all_recording(kConcurrent);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kConcurrent; ++t) {
+      threads.emplace_back([&buf, &all_recording, wave, t] {
+        for (int i = 0; i < kSpansPerThread; ++i) {
+          buf.record("obs_test.churn", static_cast<std::uint64_t>(wave),
+                     static_cast<std::uint64_t>(t), 1, 2, 0);
+        }
+        all_recording.arrive_and_wait();
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_LE(buf.ring_count(), static_cast<std::size_t>(kConcurrent));
+  }
+  EXPECT_EQ(buf.ring_count(), static_cast<std::size_t>(kConcurrent));
+  EXPECT_EQ(buf.event_count(),
+            static_cast<std::size_t>(kThreads * kSpansPerThread));
+
+  const JsonValue root = parse_json(buf.to_chrome_json());
+  const JsonValue* events = root.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_TRUE(events->is_array());
+  EXPECT_EQ(events->array.size(),
+            static_cast<std::size_t>(kThreads * kSpansPerThread));
+  for (const JsonValue& e : events->array) {
+    const JsonValue* name = e.find("name");
+    ASSERT_NE(name, nullptr);
+    EXPECT_EQ(name->str, "obs_test.churn");
+  }
+}
 
 TEST(ObsHistogram, Log2BucketBoundaries) {
   // Bucket 0 holds v < 1 (and NaN); bucket b >= 1 holds [2^(b-1), 2^b).

@@ -33,6 +33,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -518,6 +519,44 @@ TEST(RpcLoopback, TcpEphemeralPortServes) {
       client.classify(make_query_rows());
   ASSERT_TRUE(votes.has_value());
   EXPECT_EQ(votes->size(), 4u);
+  server.stop();
+}
+
+TEST(RpcLoopback, NumWorkersServesThatManyConcurrentConnections) {
+  // A handler owns its connection until the peer disconnects, so
+  // num_workers = 2 must mean two handler threads: two closed-loop clients
+  // that both stay connected are both answered within the deadline.
+  const ml::RandomForest forest = make_small_forest(5);
+  rpc::ServerConfig scfg;
+  scfg.unix_socket = unique_socket_path();
+  scfg.num_workers = 2;
+  rpc::DecisionServer server(scfg);
+  server.set_forest(forest);
+  server.start();
+
+  rpc::ClientConfig ccfg;
+  ccfg.unix_socket = scfg.unix_socket;
+  ccfg.deadline_ms = 1000.0;
+  rpc::DecisionClient a(ccfg);
+  rpc::DecisionClient b(ccfg);
+  ASSERT_TRUE(a.connect());
+  ASSERT_TRUE(b.connect());
+  const ml::DataSet rows = make_query_rows();
+  const std::vector<std::vector<double>> local =
+      forest.vote_fractions_batch(rows);
+  std::atomic<int> answered{0};
+  auto closed_loop = [&](rpc::DecisionClient& client) {
+    for (int i = 0; i < 5; ++i) {
+      const std::optional<std::vector<std::vector<double>>> votes =
+          client.classify(rows);
+      if (votes.has_value() && *votes == local) answered.fetch_add(1);
+    }
+  };
+  std::thread ta(closed_loop, std::ref(a));
+  std::thread tb(closed_loop, std::ref(b));
+  ta.join();
+  tb.join();
+  EXPECT_EQ(answered.load(), 10);
   server.stop();
 }
 

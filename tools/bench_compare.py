@@ -3,7 +3,8 @@
 
 CI's performance-regression gate: the release job runs the serving-path
 micro benches (BM_FleetClassifyBatch, BM_CompiledForestBatch,
-BM_FleetMillionLinks, BM_AggregatorRollup, ...), then compares the fresh
+BM_FleetMillionLinks, BM_AggregatorRollup, the BM_ExhaustiveSweep625 /
+BM_Sls80211ad beam sweeps, ...), then compares the fresh
 JSON against the checked-in BENCH_baseline.json. Any selected benchmark
 whose real_time grew by more than --threshold (default 25%) fails the
 job, as does any benchmark where a *_per_s rate counter (links_per_s on
