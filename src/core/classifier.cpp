@@ -116,7 +116,7 @@ void LibraClassifier::train_labeled(const ml::DataSet& rows, util::Rng& rng) {
   // the fleet trainer's candidate fits ride this same path, so a
   // hot-swapped model is recompiled automatically -- and never compiled
   // when compile_inference is off.
-  if (cfg_.compile_inference) forest_.compile(cfg_.compiled);
+  if (cfg_.compile_inference) forest_.compile();
   trained_ = true;
 }
 

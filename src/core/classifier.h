@@ -47,11 +47,10 @@ struct LibraClassifierConfig {
   // disables the gate (the paper's plain arg-max behavior).
   double min_confidence = 0.0;
   // Freeze the forest into a flat-arena CompiledForest after every (re)train
-  // and serve inference through it (see ml/compiled_forest.h). With the
-  // default double-precision thresholds verdicts are bit-identical to the
-  // interpreted pointer walk; OFF keeps the legacy per-tree heap walk.
+  // and serve inference through it (see ml/compiled_forest.h). Verdicts are
+  // bit-identical to the interpreted pointer walk; OFF keeps the legacy
+  // per-tree heap walk.
   bool compile_inference = true;
-  ml::CompiledForestConfig compiled{};
   // Policy for NaN/Inf feature rows (see NonFiniteFeaturePolicy). The
   // default is to reject loudly: a non-finite feature reaching inference is
   // a caller bug unless the caller opted into graceful degradation.

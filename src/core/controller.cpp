@@ -353,13 +353,6 @@ void LinkController::apply(trace::Action verdict, DecisionRequest& request,
   }
 }
 
-FrameReport LinkController::step(util::Rng& rng) {
-  DecisionRequest request = observe(rng);
-  const trace::Action verdict = decide(request, rng);
-  apply(verdict, request, rng);
-  return request.report;
-}
-
 // ---------- LiBRA ----------
 
 LibraController::LibraController(channel::Link* link,

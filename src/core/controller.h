@@ -18,9 +18,6 @@
 //   apply()    act on the verdict: run BA, enter the RA walk, or let the
 //              upward prober spend the frame.
 //
-// step() is the single-link compatibility wrapper: observe -> decide ->
-// apply on one Rng, bit-identical to the pre-split monolithic step.
-//
 //   LibraController    - Algorithm 1: 3-class classifier every other frame,
 //                        missing-ACK rule otherwise.
 //   RaFirstController  - COTS heuristic: RA on missing ACK, BA only when
@@ -129,9 +126,6 @@ class LinkController {
   trace::Action decide(const DecisionRequest& request, util::Rng& rng) const;
   // Phase 3: act on the verdict and stamp it into the request's report.
   void apply(trace::Action verdict, DecisionRequest& request, util::Rng& rng);
-
-  // Single-link compatibility wrapper: observe -> decide -> apply.
-  FrameReport step(util::Rng& rng);
 
   // Attach a deterministic fault source (faults/faults.h) to the
   // observe/decide/apply seams, or detach with nullptr. Non-owning; with no

@@ -288,7 +288,7 @@ FleetTrainer::~FleetTrainer() { stop(); }
 
 void FleetTrainer::seed_model(const ml::RandomForest& forest) {
   const std::uint64_t gen =
-      slot_.install(ml::CompiledForest(forest, cfg_.compiled));
+      slot_.install(ml::CompiledForest(forest));
   trainer_metrics().generation.set(static_cast<double>(gen));
 }
 
@@ -483,7 +483,6 @@ FleetTrainer::FitOutcome FleetTrainer::train_once_locked(bool force) {
   LibraClassifierConfig cand_cfg;
   cand_cfg.forest = cfg_.forest;
   cand_cfg.compile_inference = true;
-  cand_cfg.compiled = cfg_.compiled;
   LibraClassifier candidate(cand_cfg);
   util::Rng fit_stream = fit_rng_.fork();
   {

@@ -231,9 +231,8 @@ struct FleetTrainerConfig {
   // at least this margin to ship.
   double min_accuracy_gain = 0.02;
   DriftDetectorConfig drift{};
-  // Candidate model family + compile mode (kDouble = bit-exact serving).
+  // Candidate model family.
   ml::RandomForestConfig forest{};
-  ml::CompiledForestConfig compiled{};
   // Free-running cadence: the background thread ingests this often and fits
   // once fit_every_rows new rows have arrived since the last fit.
   double train_period_ms = 250.0;

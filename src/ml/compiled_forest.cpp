@@ -1,54 +1,117 @@
 #include "ml/compiled_forest.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
-#include "ml/forest_kernels.h"
 #include "ml/random_forest.h"
 
 namespace libra::ml {
 
 namespace {
 
-// Arena preconditions for the vector kernels: every lane index must fit a
-// signed 32-bit gather lane, the split feature must fit the packed meta
-// word's low byte, and the BFS left-child offset its upper 23 bits.
-constexpr std::size_t kMaxSimdNodes = std::size_t{1} << 30;
-constexpr std::int32_t kMaxPackedFeature = 0xff;
-constexpr std::int32_t kMaxPackedOffset = std::int32_t{1} << 23;
-// Row-offset lanes hold stride * 7 + feature; feature vectors are tiny, so
-// bounding the stride alone is enough.
-constexpr std::size_t kMaxSimdStride =
-    static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max() / 8);
+// Rows interleaved per group sweep in the batch walk.
+constexpr int kGroup = 8;
+// Rows per pooled task in the batch paths: large enough to amortize
+// dispatch, small enough to load-balance uneven tree depths.
+constexpr std::size_t kRowBlock = 64;
 
-// Quantized row values live in int32 with the extremes reserved as
-// "below/above every threshold" sentinels; keep lrint's operand far enough
-// from the edges that the -32767 re-centering cannot overflow.
-constexpr double kQuantClamp = 2147418112.0;  // 2^31 - 2^16
+// One row through one tree. Leaf labels ride in the feature word, so the
+// loop exit test doubles as the vote read. The comparison result indexes
+// into the child pair instead of selecting between two loads -- no
+// data-dependent branch to mispredict, one load instead of two.
+inline int walk_tree(const std::int16_t* feature, const double* thr,
+                     const std::int32_t* child, std::size_t idx,
+                     const double* row) {
+  std::int16_t f = feature[idx];
+  while (f >= 0) {
+    const std::size_t go_right = row[f] <= thr[idx] ? 0 : 1;
+    idx += static_cast<std::size_t>(child[2 * idx + go_right]);
+    f = feature[idx];
+  }
+  return -1 - f;
+}
 
-// One row value through a feature's affine quantizer. Thresholds map into
-// [-32767, 32767]; row values keep the full int32 width so values outside
-// the threshold range still order correctly against every threshold, and
-// non-finite values take the sentinels that reproduce IEEE `<=` ordering
-// (NaN is never <= thr, so it must land above every threshold).
-inline std::int32_t quantize_value(double x, double lo, double scale) {
-  if (std::isnan(x)) return std::numeric_limits<std::int32_t>::max();
-  const double y = (x - lo) * scale;  // +-inf propagates to the clamps
-  if (y >= kQuantClamp) return std::numeric_limits<std::int32_t>::max();
-  if (y <= -kQuantClamp) return std::numeric_limits<std::int32_t>::min();
-  return static_cast<std::int32_t>(std::lrint(y)) - 32767;
+// A group of kGroup rows through one tree together. A lone walk is
+// latency-bound -- every level is a dependent load->compare->index chain --
+// so interleaving independent rows lets the core overlap the chains. A
+// finished row parks on its leaf: leaf child offsets are both 0, stepping
+// it is a no-op (its cached feature word is clamped so the dummy feature
+// read stays in bounds), and the group spins only until every row has
+// parked -- cheap here because trees are depth-capped, so park times are
+// close. Evaluation order over (tree, row) changes versus the serial walk
+// but the integer vote counts are order-invariant, so batch results stay
+// bit-identical.
+inline void walk_group(const std::int16_t* feature, const double* thr,
+                       const std::int32_t* child, std::size_t root,
+                       const double* rows, std::size_t stride, int* labels) {
+  std::size_t idx[kGroup];
+  std::int16_t word[kGroup];  // feature word at idx[k], cached across sweeps
+  const std::int16_t root_word = feature[root];
+  for (int k = 0; k < kGroup; ++k) {
+    idx[k] = root;
+    word[k] = root_word;
+  }
+  bool active = root_word >= 0;
+  while (active) {
+    bool any = false;
+    for (int k = 0; k < kGroup; ++k) {
+      const std::int16_t f = word[k];
+      const std::size_t safe_f = static_cast<std::size_t>(f >= 0 ? f : 0);
+      const std::size_t i = idx[k];
+      const std::size_t go_right =
+          rows[static_cast<std::size_t>(k) * stride + safe_f] <= thr[i] ? 0
+                                                                        : 1;
+      const std::size_t next =
+          i + static_cast<std::size_t>(child[2 * i + go_right]);
+      idx[k] = next;
+      word[k] = feature[next];
+      any |= word[k] >= 0;
+    }
+    active = any;
+  }
+  for (int k = 0; k < kGroup; ++k) labels[k] = -1 - word[k];
+}
+
+// One row block through the whole forest, trees outermost so a tree's
+// upper levels stay cache-hot across the block. rows points at the block's
+// first row (stride elements apart), votes is row-major
+// [num_rows x num_classes]. Full groups run the fixed-size walk (the
+// constant trip count keeps the interleaved state in registers); the block
+// tail walks serially, so a 1-row batch costs exactly one walk per tree.
+// Kept out of line: inlined into block_votes, GCC 12 schedules the group
+// walk ~25% slower (BM_CompiledForestBatch).
+[[gnu::noinline]] void accumulate_block(
+    const std::int16_t* feature, const double* thr, const std::int32_t* child,
+    const std::uint32_t* roots, std::size_t num_trees, const double* rows,
+    std::size_t stride, int num_rows, std::uint32_t* votes, int num_classes) {
+  int labels[kGroup];
+  const int full = num_rows - num_rows % kGroup;
+  for (std::size_t t = 0; t < num_trees; ++t) {
+    for (int r = 0; r < full; r += kGroup) {
+      walk_group(feature, thr, child, roots[t],
+                 rows + static_cast<std::size_t>(r) * stride, stride, labels);
+      for (int k = 0; k < kGroup; ++k) {
+        ++votes[static_cast<std::size_t>(r + k) *
+                    static_cast<std::size_t>(num_classes) +
+                static_cast<std::size_t>(labels[k])];
+      }
+    }
+    for (int k = full; k < num_rows; ++k) {
+      ++votes[static_cast<std::size_t>(k) *
+                  static_cast<std::size_t>(num_classes) +
+              static_cast<std::size_t>(walk_tree(
+                  feature, thr, child, roots[t],
+                  rows + static_cast<std::size_t>(k) * stride))];
+    }
+  }
 }
 
 // Append one tree's nodes to the arena breadth-first. BFS packing keeps a
 // level's nodes adjacent, so a batch of rows descending in lockstep touches
 // a contiguous window per level instead of preorder's left-spine jumps.
-// Thresholds are collected in double regardless of the precision mode; the
-// constructor converts afterwards (kInt16 needs the whole forest's
-// thresholds before it can fit the per-feature quantizers).
 void pack_tree(const DecisionTree& tree, std::size_t tree_index,
                int num_classes, std::vector<std::int16_t>& feature,
                std::vector<std::int32_t>& child,
@@ -118,9 +181,8 @@ void pack_tree(const DecisionTree& tree, std::size_t tree_index,
 
 }  // namespace
 
-CompiledForest::CompiledForest(const RandomForest& forest,
-                               CompiledForestConfig cfg)
-    : cfg_(cfg), num_classes_(forest.num_classes()) {
+CompiledForest::CompiledForest(const RandomForest& forest)
+    : num_classes_(forest.num_classes()) {
   const std::vector<DecisionTree>& trees = forest.trees();
   if (trees.empty()) {
     throw std::invalid_argument("CompiledForest: forest is not fitted");
@@ -132,170 +194,33 @@ CompiledForest::CompiledForest(const RandomForest& forest,
   for (const DecisionTree& tree : trees) {
     total_nodes += tree.nodes().size();
   }
-  feature_.reserve(total_nodes + 1);
+  feature_.reserve(total_nodes);
+  thr_d_.reserve(total_nodes);
   child_.reserve(2 * total_nodes);
   roots_.reserve(trees.size());
 
-  std::vector<double> thr;  // index-parallel, double regardless of mode
-  thr.reserve(total_nodes);
   for (std::size_t t = 0; t < trees.size(); ++t) {
     if (trees[t].nodes().empty()) {
       throw std::invalid_argument("CompiledForest: tree " + std::to_string(t) +
                                   " is empty");
     }
     roots_.push_back(static_cast<std::uint32_t>(feature_.size()));
-    pack_tree(trees[t], t, num_classes_, feature_, child_, thr);
-  }
-  node_count_ = feature_.size();
-
-  switch (cfg_.precision) {
-    case ThresholdPrecision::kDouble:
-      thr_d_ = std::move(thr);
-      break;
-    case ThresholdPrecision::kFloat:
-      thr_f_.reserve(node_count_);
-      for (const double t : thr) thr_f_.push_back(static_cast<float>(t));
-      break;
-    case ThresholdPrecision::kInt16: {
-      // Fit the per-feature affine quantizers over each feature's threshold
-      // range, then verify ordering survives: two distinct thresholds that
-      // collapse to one quantized value would rewrite the forest's decision
-      // structure, so compilation rejects instead.
-      std::vector<std::vector<double>> per_feature;
-      for (std::size_t i = 0; i < node_count_; ++i) {
-        if (feature_[i] < 0) continue;
-        const auto f = static_cast<std::size_t>(feature_[i]);
-        if (f >= per_feature.size()) per_feature.resize(f + 1);
-        per_feature[f].push_back(thr[i]);
-      }
-      qlo_.assign(per_feature.size(), 0.0);
-      qscale_.assign(per_feature.size(), 1.0);
-      for (std::size_t f = 0; f < per_feature.size(); ++f) {
-        std::vector<double>& ts = per_feature[f];
-        if (ts.empty()) continue;  // feature never split on; params unused
-        std::sort(ts.begin(), ts.end());
-        ts.erase(std::unique(ts.begin(), ts.end()), ts.end());
-        const double lo = ts.front();
-        const double hi = ts.back();
-        if (!std::isfinite(lo) || !std::isfinite(hi)) {
-          throw std::invalid_argument(
-              "CompiledForest: kInt16: non-finite threshold on feature " +
-              std::to_string(f));
-        }
-        qlo_[f] = lo;
-        qscale_[f] = hi > lo ? 65534.0 / (hi - lo) : 1.0;
-        std::int32_t prev = std::numeric_limits<std::int32_t>::min();
-        for (const double t : ts) {
-          const std::int32_t q = quantize_value(t, qlo_[f], qscale_[f]);
-          if (q <= prev) {
-            throw std::invalid_argument(
-                "CompiledForest: kInt16 quantization loses threshold "
-                "ordering on feature " +
-                std::to_string(f) + " (range [" + std::to_string(lo) + ", " +
-                std::to_string(hi) + "] too wide for the gap near " +
-                std::to_string(t) + "); use kFloat or kDouble");
-          }
-          prev = q;
-        }
-      }
-      thr_q_.reserve(node_count_ + 1);
-      for (std::size_t i = 0; i < node_count_; ++i) {
-        if (feature_[i] < 0) {
-          thr_q_.push_back(0);
-          continue;
-        }
-        const auto f = static_cast<std::size_t>(feature_[i]);
-        const std::int32_t q = quantize_value(thr[i], qlo_[f], qscale_[f]);
-        thr_q_.push_back(static_cast<std::int16_t>(std::clamp<std::int32_t>(
-            q, std::numeric_limits<std::int16_t>::min(),
-            std::numeric_limits<std::int16_t>::max())));
-      }
-      thr_q_.push_back(0);  // gather padding (see forest_kernels.h)
-      break;
-    }
-  }
-  // Packed vector-kernel arena (reduced-precision modes only; kDouble is
-  // the bit-exact scalar reference and never dispatches SIMD). One int32
-  // word per node: internal = (left_offset << 8) | feature — valid because
-  // BFS packing pops a node's two children consecutively, so the right
-  // child always sits at left + 1 — leaf = -1 - label (negative). Forests
-  // whose shape cannot pack just stay scalar; results are identical either
-  // way, only the kernel choice changes.
-  if (cfg_.precision != ThresholdPrecision::kDouble) {
-    simd_ok_ = node_count_ < kMaxSimdNodes;
-    meta_.reserve(node_count_);
-    for (std::size_t i = 0; i < node_count_ && simd_ok_; ++i) {
-      if (feature_[i] < 0) {
-        meta_.push_back(feature_[i]);  // already -1 - label
-        continue;
-      }
-      const std::int32_t off = child_[2 * i];
-      if (feature_[i] > kMaxPackedFeature || off <= 0 ||
-          off >= kMaxPackedOffset || child_[2 * i + 1] != off + 1) {
-        simd_ok_ = false;
-        break;
-      }
-      meta_.push_back((off << 8) | feature_[i]);
-    }
-    if (!simd_ok_) {
-      meta_.clear();
-      meta_.shrink_to_fit();
-    }
+    pack_tree(trees[t], t, num_classes_, feature_, child_, thr_d_);
   }
 }
 
 std::size_t CompiledForest::arena_bytes() const {
-  return node_count_ * sizeof(std::int16_t) +
-         thr_d_.size() * sizeof(double) + thr_f_.size() * sizeof(float) +
-         (thr_q_.empty() ? 0 : node_count_ * sizeof(std::int16_t)) +
+  return feature_.size() * sizeof(std::int16_t) +
+         thr_d_.size() * sizeof(double) +
          child_.size() * sizeof(std::int32_t) +
-         meta_.size() * sizeof(std::int32_t) +
          roots_.size() * sizeof(std::uint32_t);
-}
-
-util::simd::Isa CompiledForest::dispatch_isa() const {
-  const util::simd::Isa isa = util::simd::active_isa();
-  return simd_ok_ ? isa : util::simd::Isa::kScalar;
-}
-
-void CompiledForest::quantize_row(const double* row, std::int32_t* out) const {
-  const std::size_t n = qlo_.size();
-  for (std::size_t f = 0; f < n; ++f) {
-    out[f] = quantize_value(row[f], qlo_[f], qscale_[f]);
-  }
 }
 
 void CompiledForest::accumulate_votes(std::span<const double> row,
                                       std::vector<std::uint32_t>& votes) const {
-  const std::int16_t* feature = feature_.data();
-  const std::int32_t* child = child_.data();
-  switch (cfg_.precision) {
-    case ThresholdPrecision::kDouble: {
-      const double* thr = thr_d_.data();
-      for (const std::uint32_t root : roots_) {
-        ++votes[static_cast<std::size_t>(
-            kernels::walk_tree(feature, thr, child, root, row.data()))];
-      }
-      break;
-    }
-    case ThresholdPrecision::kFloat: {
-      const float* thr = thr_f_.data();
-      for (const std::uint32_t root : roots_) {
-        ++votes[static_cast<std::size_t>(
-            kernels::walk_tree(feature, thr, child, root, row.data()))];
-      }
-      break;
-    }
-    case ThresholdPrecision::kInt16: {
-      std::vector<std::int32_t> qrow(qlo_.size());
-      quantize_row(row.data(), qrow.data());
-      const std::int16_t* thr = thr_q_.data();
-      for (const std::uint32_t root : roots_) {
-        ++votes[static_cast<std::size_t>(
-            kernels::walk_tree(feature, thr, child, root, qrow.data()))];
-      }
-      break;
-    }
+  for (const std::uint32_t root : roots_) {
+    ++votes[static_cast<std::size_t>(walk_tree(
+        feature_.data(), thr_d_.data(), child_.data(), root, row.data()))];
   }
 }
 
@@ -327,99 +252,17 @@ std::vector<double> CompiledForest::vote_fractions(
 // Run one block's grouped tree walks and leave row-major
 // [num_rows x num_classes] counts in votes. The DataSet's feature matrix is
 // row-major and contiguous, so the block is addressed as base + k*stride
-// directly — no per-row pointer gathering. The ISA choice is per block and
-// invisible in the counts: vector and scalar kernels issue identical
-// comparisons (forest_kernels.h).
+// directly — no per-row pointer gathering.
 void CompiledForest::block_votes(const DataSet& data, std::size_t begin,
                                  std::size_t end,
                                  std::vector<std::uint32_t>& votes) const {
   const int num_rows = static_cast<int>(end - begin);
-  const double* rows = data.row(begin).data();
-  const std::size_t stride = data.num_features();
   votes.assign(static_cast<std::size_t>(num_rows) *
                    static_cast<std::size_t>(num_classes_),
                0u);
-  util::simd::Isa isa = dispatch_isa();
-  if (stride > kMaxSimdStride) isa = util::simd::Isa::kScalar;
-
-  switch (cfg_.precision) {
-    case ThresholdPrecision::kDouble: {
-      // Bit-exact reference mode: always the scalar interleaved walk (and
-      // 64-bit gathers measured slower than it anyway — see
-      // forest_kernels.h).
-      kernels::accumulate_block(feature_.data(), thr_d_.data(), child_.data(),
-                                roots_.data(), roots_.size(), rows, stride,
-                                num_rows, votes.data(), num_classes_);
-      return;
-    }
-    case ThresholdPrecision::kFloat: {
-      if (isa != util::simd::Isa::kScalar) {
-        // Narrow the block's rows to float once; the same IEEE rounding
-        // the scalar walk applies per comparison, so the vector kernel
-        // compares exactly the values the scalar walk compares.
-        std::vector<float> frows(static_cast<std::size_t>(num_rows) * stride);
-        const std::size_t n = frows.size();
-        for (std::size_t i = 0; i < n; ++i) {
-          frows[i] = static_cast<float>(rows[i]);
-        }
-#if LIBRA_SIMD_X86
-        if (isa == util::simd::Isa::kAvx2) {
-          kernels::accumulate_block_avx2(meta_.data(), thr_f_.data(),
-                                         roots_.data(), roots_.size(),
-                                         frows.data(), stride, num_rows,
-                                         votes.data(), num_classes_);
-          return;
-        }
-#endif
-#if LIBRA_SIMD_NEON
-        if (isa == util::simd::Isa::kNeon) {
-          kernels::accumulate_block_neon(meta_.data(), thr_f_.data(),
-                                         roots_.data(), roots_.size(),
-                                         frows.data(), stride, num_rows,
-                                         votes.data(), num_classes_);
-          return;
-        }
-#endif
-      }
-      kernels::accumulate_block(feature_.data(), thr_f_.data(), child_.data(),
-                                roots_.data(), roots_.size(), rows, stride,
-                                num_rows, votes.data(), num_classes_);
-      return;
-    }
-    case ThresholdPrecision::kInt16: {
-      // Quantization is this shared scalar pass for every ISA, so the
-      // vector path cannot round differently from the scalar one.
-      const std::size_t qstride = qlo_.size();
-      std::vector<std::int32_t> qrows(
-          static_cast<std::size_t>(num_rows) * qstride);
-      for (int r = 0; r < num_rows; ++r) {
-        quantize_row(rows + static_cast<std::size_t>(r) * stride,
-                     qrows.data() + static_cast<std::size_t>(r) * qstride);
-      }
-#if LIBRA_SIMD_X86
-      if (isa == util::simd::Isa::kAvx2 && qstride > 0) {
-        kernels::accumulate_block_avx2(meta_.data(), thr_q_.data(),
-                                       roots_.data(), roots_.size(),
-                                       qrows.data(), qstride, num_rows,
-                                       votes.data(), num_classes_);
-        return;
-      }
-#endif
-#if LIBRA_SIMD_NEON
-      if (isa == util::simd::Isa::kNeon && qstride > 0) {
-        kernels::accumulate_block_neon(meta_.data(), thr_q_.data(),
-                                       roots_.data(), roots_.size(),
-                                       qrows.data(), qstride, num_rows,
-                                       votes.data(), num_classes_);
-        return;
-      }
-#endif
-      kernels::accumulate_block(feature_.data(), thr_q_.data(), child_.data(),
-                                roots_.data(), roots_.size(), qrows.data(),
-                                qstride, num_rows, votes.data(), num_classes_);
-      return;
-    }
-  }
+  accumulate_block(feature_.data(), thr_d_.data(), child_.data(),
+                   roots_.data(), roots_.size(), data.row(begin).data(),
+                   data.num_features(), num_rows, votes.data(), num_classes_);
 }
 
 std::vector<Label> CompiledForest::predict_batch(const DataSet& data,
@@ -429,13 +272,12 @@ std::vector<Label> CompiledForest::predict_batch(const DataSet& data,
         "CompiledForest::predict_batch: empty (not compiled)");
   }
   std::vector<Label> out(data.size());
-  const std::size_t block = std::max<std::size_t>(1, cfg_.row_block);
-  const std::size_t num_blocks = (data.size() + block - 1) / block;
+  const std::size_t num_blocks = (data.size() + kRowBlock - 1) / kRowBlock;
   const std::size_t classes = static_cast<std::size_t>(num_classes_);
   util::parallel_for(pool, num_blocks, [&](std::size_t b) {
     std::vector<std::uint32_t> votes;
-    const std::size_t begin = b * block;
-    const std::size_t end = std::min(data.size(), begin + block);
+    const std::size_t begin = b * kRowBlock;
+    const std::size_t end = std::min(data.size(), begin + kRowBlock);
     block_votes(data, begin, end, votes);
     for (std::size_t i = begin; i < end; ++i) {
       const std::uint32_t* row_votes = votes.data() + (i - begin) * classes;
@@ -455,13 +297,12 @@ std::vector<std::vector<double>> CompiledForest::vote_fractions_batch(
     }
     return out;
   }
-  const std::size_t block = std::max<std::size_t>(1, cfg_.row_block);
-  const std::size_t num_blocks = (data.size() + block - 1) / block;
+  const std::size_t num_blocks = (data.size() + kRowBlock - 1) / kRowBlock;
   const std::size_t classes = static_cast<std::size_t>(num_classes_);
   util::parallel_for(pool, num_blocks, [&](std::size_t b) {
     std::vector<std::uint32_t> votes;
-    const std::size_t begin = b * block;
-    const std::size_t end = std::min(data.size(), begin + block);
+    const std::size_t begin = b * kRowBlock;
+    const std::size_t end = std::min(data.size(), begin + kRowBlock);
     block_votes(data, begin, end, votes);
     for (std::size_t i = begin; i < end; ++i) {
       const std::uint32_t* row_votes = votes.data() + (i - begin) * classes;

@@ -11,9 +11,7 @@
 //                         same word as ~label (feature_ < 0 <=> leaf, so
 //                         label = -1 - feature_ and one load both ends the
 //                         walk and yields the vote)
-//   thr_d_[i] /   double  split threshold (go left when x[f] <= thr). The
-//   thr_f_[i] /   float   precision knob picks which array is populated;
-//   thr_q_[i]     int16   see "Precision & tolerance contract" below.
+//   thr_d_[i]     double  split threshold (go left when x[f] <= thr)
 //   child_[2i],   int32   relative child offsets: left child = i +
 //   child_[2i+1]          child_[2i], right child = i + child_[2i+1]. The
 //                         pair is interleaved so the branch decision indexes
@@ -25,70 +23,13 @@
 // arrays sequentially-indexed per step instead of one scattered node heap,
 // and a whole batch walks the same hot arena.
 //
-// For the reduced-precision modes (kFloat / kInt16) compilation also emits
-// a packed arena tuned for the vector kernels: one int32 meta word per
-// node — (left_child_offset << 8) | feature for internal nodes, -1 - label
-// (negative) for leaves — alongside the mode's threshold array. BFS
-// packing places a node's two children in adjacent slots, so the right
-// child is left + 1 and a traversal level costs three indexed loads (meta,
-// threshold, row value) instead of four. Forests whose shape cannot pack
-// (feature index > 255, a child offset >= 2^23, or >= 2^30 nodes) simply
-// stay on the scalar walkers — same results, no SIMD.
-//
-// SIMD dispatch: the batch paths route each row block through
-// ml::kernels — an AVX2 (or guarded NEON) traversal kernel over the packed
-// arena replaces the 8-row interleaved scalar group when
-// util::simd::active_isa() allows it (see util/simd.h for the selection
-// order: LIBRA_SIMD=OFF > LIBRA_FORCE_SCALAR env > ScopedForceScalar > CPU
-// detect). kDouble always walks scalar: it is the bit-exact reference
-// mode, and 64-bit gathers measured slower than the interleaved scalar
-// walk. The vector kernels issue exactly the comparisons the scalar walk
-// of the same mode issues, so for every precision mode the dispatched
-// result is bit-identical to the forced-scalar result — CI's forced-scalar
-// differential enforces this on the full fleet digest.
-//
-// Precision & tolerance contract (per mode, scalar and SIMD alike):
-//
-//   kDouble  every comparison `x[f] <= threshold` is evaluated on exactly
-//            the values the interpreted walk uses, so predict /
-//            vote_fractions / the batch variants are bit-identical to
-//            RandomForest's pointer walk (vote fractions are integer counts
-//            divided by num_trees — exact in double).
-//
-//   kFloat   each threshold is rounded once, at compile time, to the
-//            nearest float, and each row value is narrowed once per
-//            comparison to the nearest float; the comparison runs in
-//            float. Both roundings are exact IEEE nearest-even, performed
-//            identically by the scalar walk (a per-compare cast) and the
-//            batch/vector path (a per-block narrowing pass) — so scalar
-//            and SIMD stay bit-identical. A branch can differ from kDouble
-//            only when x sits within one float ulp of thr (roughly
-//            |thr| * 2^-23; subnormal thresholds saturate at the subnormal
-//            spacing): outside that interval both roundings preserve the
-//            order of x and thr. Features that are themselves
-//            float-quantized (e.g. dB readings from firmware) can never
-//            land in it.
-//
-//   kInt16   thresholds and row values are mapped through the same
-//            per-feature affine quantizer q(v) = lrint((v - lo_f) *
-//            scale_f) - 32767 with [lo_f, hi_f] the feature's threshold
-//            range and scale_f = 65534 / (hi_f - lo_f), so every
-//            comparison becomes one int compare q(x) <= q(t). Compilation
-//            throws std::invalid_argument if two distinct thresholds of a
-//            feature would collapse to the same quantized value (ordering
-//            loss — the forest's decision structure cannot be preserved).
-//            Given that guarantee: an exact tie x == thr quantizes equal on
-//            both sides and goes left, exactly like kDouble; a branch can
-//            differ from kDouble only when x lies within one quantization
-//            step (max(|lo_f|, |hi_f|) range / 65534) of thr. Row values
-//            outside the threshold range clamp to sentinels that compare
-//            below/above every threshold, and non-finite features map to
-//            the sentinels too (-inf -> INT32_MIN, NaN/+inf -> INT32_MAX),
-//            reproducing IEEE `<=` ordering (NaN goes right) bit for bit.
-//
-// In all three modes the argmax vote is expected to agree with kDouble on
-// real feature grids (asserted in tests); kFloat/kInt16 trade the
-// documented boundary intervals for half / quarter threshold bytes.
+// Traversal is scalar: batches walk 8 interleaved rows per tree group so
+// the dependent load-compare-index chains overlap. Every comparison
+// `x[f] <= threshold` is evaluated on exactly the values the interpreted
+// walk uses (NaN goes right, -inf left, +inf right), so predict /
+// vote_fractions / the batch variants are bit-identical to RandomForest's
+// pointer walk (vote fractions are integer counts divided by num_trees —
+// exact in double).
 #pragma once
 
 #include <cstddef>
@@ -97,21 +38,11 @@
 #include <vector>
 
 #include "ml/data.h"
-#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace libra::ml {
 
 class RandomForest;
-
-enum class ThresholdPrecision { kDouble, kFloat, kInt16 };
-
-struct CompiledForestConfig {
-  ThresholdPrecision precision = ThresholdPrecision::kDouble;
-  // Rows per pooled task in the batch paths: large enough to amortize
-  // dispatch, small enough to load-balance uneven tree depths.
-  std::size_t row_block = 64;
-};
 
 class CompiledForest {
  public:
@@ -119,25 +50,15 @@ class CompiledForest {
 
   // Freeze a fitted forest. Throws std::invalid_argument when the forest is
   // unfitted or its trees cannot be packed (feature index or leaf label
-  // beyond int16, malformed children), or — in kInt16 mode — when a
-  // feature's threshold range would lose ordering under quantization (see
-  // the precision contract above).
-  explicit CompiledForest(const RandomForest& forest,
-                          CompiledForestConfig cfg = {});
+  // beyond int16, malformed children).
+  explicit CompiledForest(const RandomForest& forest);
 
   bool empty() const { return roots_.empty(); }
   int num_trees() const { return static_cast<int>(roots_.size()); }
   int num_classes() const { return num_classes_; }
-  std::size_t node_count() const { return node_count_; }
-  ThresholdPrecision precision() const { return cfg_.precision; }
-  // Total bytes of the packed arena (the cache footprint of a traversal).
+  std::size_t node_count() const { return feature_.size(); }
+  // Total bytes of the arena (the cache footprint of a traversal).
   std::size_t arena_bytes() const;
-
-  // The ISA the batch paths will dispatch to right now (env knobs, forced
-  // scalar, precision mode and per-forest packing eligibility folded in —
-  // kDouble always reports kScalar). Benches label series with it and
-  // tools log it next to digests.
-  util::simd::Isa dispatch_isa() const;
 
   // Single-row inference; identical tie-breaking (first max) to
   // RandomForest::predict. Throws std::logic_error when empty().
@@ -146,8 +67,7 @@ class CompiledForest {
   std::vector<double> vote_fractions(std::span<const double> features) const;
 
   // Batched inference, row-blocked across `pool` (nullptr = serial). Row
-  // order of the result is independent of threading, and the result is
-  // bit-identical whichever ISA the blocks dispatch to.
+  // order and values of the result are independent of threading.
   std::vector<Label> predict_batch(const DataSet& data,
                                    util::ThreadPool* pool = nullptr) const;
   std::vector<std::vector<double>> vote_fractions_batch(
@@ -155,39 +75,21 @@ class CompiledForest {
 
  private:
   // Walk every tree for one row, bumping votes[class]. votes must hold
-  // num_classes_ zeroed slots. Single-row latency path: always scalar.
+  // num_classes_ zeroed slots.
   void accumulate_votes(std::span<const double> row,
                         std::vector<std::uint32_t>& votes) const;
   // Vote counts for rows [begin, end), trees outermost with interleaved
-  // row groups per tree (scalar) or one SIMD lane per grouped row (see
-  // ml/forest_kernels.h). votes is caller-owned scratch; it comes back
+  // row groups per tree. votes is caller-owned scratch; it comes back
   // row-major [(end - begin) x num_classes].
   void block_votes(const DataSet& data, std::size_t begin, std::size_t end,
                    std::vector<std::uint32_t>& votes) const;
-  // kInt16: quantize row[0..qlo_.size()) through the per-feature affine
-  // maps into out (sentinels for non-finite / out-of-range values).
-  void quantize_row(const double* row, std::int32_t* out) const;
 
-  CompiledForestConfig cfg_{};
   int num_classes_ = 0;
-  std::size_t node_count_ = 0;         // nodes, excluding gather padding
   std::vector<std::int16_t> feature_;  // < 0: leaf, label = -1 - feature_
-  std::vector<double> thr_d_;          // populated in kDouble mode
-  std::vector<float> thr_f_;           // populated in kFloat mode
-  std::vector<std::int16_t> thr_q_;    // populated in kInt16 mode; +1
-                                       // trailing pad for 32-bit gathers
+  std::vector<double> thr_d_;
   // Interleaved relative child-offset pairs, 2 per node (both 0 on leaves).
   std::vector<std::int32_t> child_;
-  // Packed vector-kernel arena (kFloat/kInt16 only): per-node meta word,
-  // (left_offset << 8) | feature on internal nodes, -1 - label on leaves.
-  std::vector<std::int32_t> meta_;
-  std::vector<std::uint32_t> roots_;   // arena index of each tree's root
-  // kInt16 per-feature quantizer params, sized max split feature + 1.
-  std::vector<double> qlo_;
-  std::vector<double> qscale_;
-  // True when the packed arena exists and fits the vector kernels'
-  // preconditions (see forest_kernels.h); false in kDouble mode.
-  bool simd_ok_ = false;
+  std::vector<std::uint32_t> roots_;  // arena index of each tree's root
 };
 
 }  // namespace libra::ml

@@ -153,13 +153,13 @@ void RandomForest::import_model(std::vector<DecisionTree> trees,
   num_classes_ = num_classes;
 }
 
-const CompiledForest& RandomForest::compile(CompiledForestConfig compile_cfg) {
+const CompiledForest& RandomForest::compile() {
   if (trees_.empty()) {
     throw std::logic_error("RandomForest::compile: forest is not fitted");
   }
   OBS_SPAN("forest.compile", &compile_latency_hist());
   compiles_counter().inc();
-  compiled_ = std::make_shared<const CompiledForest>(*this, compile_cfg);
+  compiled_ = std::make_shared<const CompiledForest>(*this);
   return *compiled_;
 }
 

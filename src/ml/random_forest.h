@@ -50,12 +50,12 @@ class RandomForest : public Classifier {
 
   // Freeze the fitted forest into a flat-arena CompiledForest (see
   // ml/compiled_forest.h) and dispatch every subsequent predict /
-  // vote_fractions / *_batch call through it. In kDouble mode (the default)
-  // the compiled path is bit-identical to the pointer walk. fit() and
-  // import_model() drop the compiled form (it would be stale). Throws
-  // std::logic_error when unfitted. Returns the compiled forest, which
-  // copies of this forest share.
-  const CompiledForest& compile(CompiledForestConfig compile_cfg = {});
+  // vote_fractions / *_batch call through it. The compiled path is
+  // bit-identical to the pointer walk. fit() and import_model() drop the
+  // compiled form (it would be stale). Throws std::logic_error when
+  // unfitted. Returns the compiled forest, which copies of this forest
+  // share.
+  const CompiledForest& compile();
   // The active compiled form, or nullptr when serving interpreted.
   const CompiledForest* compiled() const { return compiled_.get(); }
 

@@ -45,9 +45,6 @@ struct ServerConfig {
   // camped connection cannot starve the accept queue.
   int num_workers = 4;
   int listen_backlog = 16;
-  // Compilation config for pushed models (ModelPush recompiles on arrival;
-  // the default double-threshold mode is the bit-exact one).
-  ml::CompiledForestConfig compiled{};
   // Origin label on StatsAck replies -- the label this daemon's metrics
   // appear under in the controller's merged scrape.
   std::string stats_origin = "daemon";

@@ -31,9 +31,6 @@ const Detection& detect() {
     out.force_scalar_env = env_truthy(std::getenv("LIBRA_FORCE_SCALAR"));
 #if LIBRA_SIMD_X86
     if (__builtin_cpu_supports("avx2")) out.hardware = Isa::kAvx2;
-#elif LIBRA_SIMD_NEON
-    // NEON is architecturally guaranteed on aarch64.
-    out.hardware = Isa::kNeon;
 #endif
     return out;
   }();
@@ -54,7 +51,6 @@ Isa active_isa() {
 const char* isa_name(Isa isa) {
   switch (isa) {
     case Isa::kAvx2: return "avx2";
-    case Isa::kNeon: return "neon";
     case Isa::kScalar: break;
   }
   return "scalar";

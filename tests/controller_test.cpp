@@ -59,6 +59,15 @@ struct LiveFixture : ::testing::Test {
   channel::Link link;
 };
 
+// One frame through the controller's observe -> decide -> apply phases on
+// a single Rng, the way a serial session drives a link.
+core::FrameReport run_frame(core::LinkController& ctrl, util::Rng& rng) {
+  core::DecisionRequest request = ctrl.observe(rng);
+  const trace::Action verdict = ctrl.decide(request, rng);
+  ctrl.apply(verdict, request, rng);
+  return request.report;
+}
+
 // ---------- Trajectory ----------
 
 TEST(Trajectory, StationaryHoldsPose) {
@@ -114,7 +123,7 @@ TEST_F(LiveFixture, SteadyStateDelivers) {
   util::Rng rng(2);
   ctrl.start(rng);
   double goodput = 0.0;
-  for (int i = 0; i < 100; ++i) goodput += ctrl.step(rng).goodput_mbps;
+  for (int i = 0; i < 100; ++i) goodput += run_frame(ctrl, rng).goodput_mbps;
   EXPECT_GT(goodput / 100, 500.0);
 }
 
@@ -125,7 +134,7 @@ TEST_F(LiveFixture, TimeAdvancesByFat) {
   util::Rng rng(3);
   ctrl.start(rng);
   const double t0 = ctrl.time_ms();
-  ctrl.step(rng);
+  run_frame(ctrl, rng);
   EXPECT_NEAR(ctrl.time_ms() - t0, 2.0, 1e-9);
 }
 
@@ -133,13 +142,13 @@ TEST_F(LiveFixture, BlockageMakesRaFirstWalkDown) {
   core::RaFirstController ctrl(&link, &em, {});
   util::Rng rng(4);
   ctrl.start(rng);
-  for (int i = 0; i < 20; ++i) ctrl.step(rng);
+  for (int i = 0; i < 20; ++i) run_frame(ctrl, rng);
   const phy::McsIndex before = ctrl.mcs();
   // Partial blockage: initial MCS breaks but a lower one still works.
   lobby.add_blocker({{6, 6}, 0.25, 12.0});
   bool triggered_ra = false;
   for (int i = 0; i < 60; ++i) {
-    triggered_ra |= ctrl.step(rng).action == trace::Action::kRA;
+    triggered_ra |= run_frame(ctrl, rng).action == trace::Action::kRA;
   }
   EXPECT_TRUE(triggered_ra);
   EXPECT_LT(ctrl.mcs(), before);
@@ -149,18 +158,18 @@ TEST_F(LiveFixture, HardBlockageMakesBaFirstSwitchBeams) {
   core::BaFirstController ctrl(&link, &em, {});
   util::Rng rng(5);
   ctrl.start(rng);
-  for (int i = 0; i < 10; ++i) ctrl.step(rng);
+  for (int i = 0; i < 10; ++i) run_frame(ctrl, rng);
   const auto before_tx = ctrl.tx_beam();
   lobby.add_blocker({{6, 6}, 0.3, 35.0});
   bool triggered_ba = false;
   for (int i = 0; i < 60; ++i) {
-    triggered_ba |= ctrl.step(rng).action == trace::Action::kBA;
+    triggered_ba |= run_frame(ctrl, rng).action == trace::Action::kBA;
   }
   EXPECT_TRUE(triggered_ba);
   // The LOS is gone: the controller must have re-trained onto another pair
   // (or at minimum changed something and recovered some goodput).
   double goodput = 0.0;
-  for (int i = 0; i < 50; ++i) goodput += ctrl.step(rng).goodput_mbps;
+  for (int i = 0; i < 50; ++i) goodput += run_frame(ctrl, rng).goodput_mbps;
   EXPECT_GT(goodput / 50, 150.0);
   (void)before_tx;
 }
@@ -169,13 +178,13 @@ TEST_F(LiveFixture, RaFirstFallsBackToBaWhenNothingWorks) {
   core::RaFirstController ctrl(&link, &em, {});
   util::Rng rng(6);
   ctrl.start(rng);
-  for (int i = 0; i < 10; ++i) ctrl.step(rng);
+  for (int i = 0; i < 10; ++i) run_frame(ctrl, rng);
   // Full blockage: no MCS works on the old pair; Algorithm 1's RA walk must
   // fall back to BA and recover via a reflection.
   lobby.add_blocker({{6, 6}, 0.3, 40.0});
   double late_goodput = 0.0;
   for (int i = 0; i < 300; ++i) {
-    const auto r = ctrl.step(rng);
+    const auto r = run_frame(ctrl, rng);
     if (i >= 250) late_goodput += r.goodput_mbps;
   }
   EXPECT_GT(late_goodput / 50, 150.0);
@@ -185,13 +194,13 @@ TEST_F(LiveFixture, UpProbingRecoversAfterBlockerLeaves) {
   core::RaFirstController ctrl(&link, &em, {});
   util::Rng rng(7);
   ctrl.start(rng);
-  for (int i = 0; i < 10; ++i) ctrl.step(rng);
+  for (int i = 0; i < 10; ++i) run_frame(ctrl, rng);
   const phy::McsIndex healthy = ctrl.mcs();
   lobby.add_blocker({{6, 6}, 0.25, 12.0});
-  for (int i = 0; i < 80; ++i) ctrl.step(rng);
+  for (int i = 0; i < 80; ++i) run_frame(ctrl, rng);
   EXPECT_LT(ctrl.mcs(), healthy);
   lobby.clear_blockers();
-  for (int i = 0; i < 400; ++i) ctrl.step(rng);
+  for (int i = 0; i < 400; ++i) run_frame(ctrl, rng);
   EXPECT_GE(ctrl.mcs(), healthy - 1);
 }
 
@@ -203,54 +212,6 @@ TEST_F(LiveFixture, ConfigRejectsNonPositiveFat) {
   cfg.fat_ms = -1.0;
   EXPECT_THROW(core::RaFirstController(&link, &em, cfg),
                std::invalid_argument);
-}
-
-// The compatibility contract of the observe/decide/apply split: driving the
-// phases by hand is bit-identical to step(), frame for frame, through
-// steady state, a blockage, the RA walk and the fallback BA.
-TEST(ObserveDecideApply, PhasesMatchStepBitForBit) {
-  phy::McsTable table;
-  phy::ErrorModel em(&table);
-  array::Codebook codebook;
-
-  env::Environment env_a = env::make_lobby();
-  env::Environment env_b = env::make_lobby();
-  array::PhasedArray tx_a({2, 6}, 0.0, &codebook), tx_b({2, 6}, 0.0, &codebook);
-  array::PhasedArray rx_a({10, 6}, 180.0, &codebook),
-      rx_b({10, 6}, 180.0, &codebook);
-  channel::Link link_a(&env_a, &tx_a, &rx_a);
-  channel::Link link_b(&env_b, &tx_b, &rx_b);
-  core::LibraController stepped(&link_a, &em, &test_classifier(), {});
-  core::LibraController phased(&link_b, &em, &test_classifier(), {});
-
-  util::Rng rng_a(21), rng_b(21);
-  stepped.start(rng_a);
-  phased.start(rng_b);
-  for (int i = 0; i < 150; ++i) {
-    if (i == 40) {
-      // Same impairment in both worlds, mid-run: exercises the decision,
-      // the walk and the recovery paths of both drivers.
-      env_a.add_blocker({{6, 6}, 0.3, 35.0});
-      env_b.add_blocker({{6, 6}, 0.3, 35.0});
-    }
-    const core::FrameReport a = stepped.step(rng_a);
-    core::DecisionRequest request = phased.observe(rng_b);
-    const trace::Action verdict = phased.decide(request, rng_b);
-    phased.apply(verdict, request, rng_b);
-    const core::FrameReport& b = request.report;
-
-    ASSERT_EQ(a.t_ms, b.t_ms) << "frame " << i;
-    ASSERT_EQ(a.duration_ms, b.duration_ms) << "frame " << i;
-    ASSERT_EQ(a.tx_beam, b.tx_beam) << "frame " << i;
-    ASSERT_EQ(a.rx_beam, b.rx_beam) << "frame " << i;
-    ASSERT_EQ(a.mcs, b.mcs) << "frame " << i;
-    ASSERT_EQ(a.goodput_mbps, b.goodput_mbps) << "frame " << i;
-    ASSERT_EQ(a.ack, b.ack) << "frame " << i;
-    ASSERT_EQ(a.action, b.action) << "frame " << i;
-  }
-  EXPECT_EQ(stepped.mcs(), phased.mcs());
-  EXPECT_EQ(stepped.tx_beam(), phased.tx_beam());
-  EXPECT_EQ(stepped.time_ms(), phased.time_ms());
 }
 
 TEST_F(LiveFixture, WalkFramesCarryNoDecision) {
@@ -283,15 +244,15 @@ TEST_F(LiveFixture, LibraControllerRunsAndAdapts) {
   core::LibraController ctrl(&link, &em, &test_classifier(), {});
   util::Rng rng(8);
   ctrl.start(rng);
-  for (int i = 0; i < 20; ++i) ctrl.step(rng);
+  for (int i = 0; i < 20; ++i) run_frame(ctrl, rng);
   lobby.add_blocker({{6, 6}, 0.3, 35.0});
   int adaptations = 0;
   for (int i = 0; i < 100; ++i) {
-    adaptations += ctrl.step(rng).action != trace::Action::kNA;
+    adaptations += run_frame(ctrl, rng).action != trace::Action::kNA;
   }
   EXPECT_GT(adaptations, 0);
   double goodput = 0.0;
-  for (int i = 0; i < 50; ++i) goodput += ctrl.step(rng).goodput_mbps;
+  for (int i = 0; i < 50; ++i) goodput += run_frame(ctrl, rng).goodput_mbps;
   EXPECT_GT(goodput / 50, 150.0);
 }
 

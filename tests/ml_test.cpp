@@ -13,7 +13,6 @@
 #include "ml/neural_net.h"
 #include "ml/random_forest.h"
 #include "ml/svm.h"
-#include "util/simd.h"
 #include "util/stats.h"
 
 namespace libra::ml {
@@ -375,21 +374,59 @@ DataSet three_class(int n, util::Rng& rng) {
   return d;
 }
 
-// The compiled arena in double mode must reproduce the pointer walk bit
-// for bit: same labels, same vote fractions, single-row and batch.
+// The test rows plus, for every feature, a copy of a test row with that
+// feature set to NaN, +inf and -inf: IEEE `<=` sends NaN and +inf right and
+// -inf left, and the compiled walk must branch exactly like the interpreted
+// one on each.
+DataSet with_non_finite_rows(const DataSet& test) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  DataSet out(test.num_features());
+  for (std::size_t i = 0; i < test.size(); ++i) {
+    out.add(test.row(i), test.label(i));
+  }
+  for (std::size_t f = 0; f < test.num_features(); ++f) {
+    for (const double v : {kNaN, kInf, -kInf}) {
+      const std::size_t src = f % test.size();
+      std::vector<double> row(test.row(src).begin(), test.row(src).end());
+      row[f] = v;
+      out.add(row, test.label(src));
+    }
+  }
+  return out;
+}
+
+// The compiled arena must reproduce the pointer walk bit for bit: same
+// labels, same vote fractions, single-row and batch.
 void expect_compiled_matches_interpreted(const RandomForest& interpreted,
                                          const CompiledForest& compiled,
                                          const DataSet& test) {
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    EXPECT_EQ(compiled.predict(test.row(i)), interpreted.predict(test.row(i)))
+  const DataSet rows = with_non_finite_rows(test);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(compiled.predict(rows.row(i)), interpreted.predict(rows.row(i)))
         << "row " << i;
-    EXPECT_EQ(compiled.vote_fractions(test.row(i)),
-              interpreted.vote_fractions(test.row(i)))
+    EXPECT_EQ(compiled.vote_fractions(rows.row(i)),
+              interpreted.vote_fractions(rows.row(i)))
         << "row " << i;
   }
-  EXPECT_EQ(compiled.predict_batch(test), interpreted.predict_batch(test));
-  EXPECT_EQ(compiled.vote_fractions_batch(test),
-            interpreted.vote_fractions_batch(test));
+  EXPECT_EQ(compiled.predict_batch(rows), interpreted.predict_batch(rows));
+  EXPECT_EQ(compiled.vote_fractions_batch(rows),
+            interpreted.vote_fractions_batch(rows));
+  // Batch shapes around the 8-row group remainders and the 64-row block
+  // boundary. Batches start at the non-finite rows (the tail of `rows`) and
+  // wrap, so those rows land in full groups and in serial tails alike.
+  for (const std::size_t n : {1, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65}) {
+    DataSet batch(rows.num_features());
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t k = (test.size() + i) % rows.size();
+      batch.add(rows.row(k), rows.label(k));
+    }
+    EXPECT_EQ(compiled.predict_batch(batch), interpreted.predict_batch(batch))
+        << "rows=" << n;
+    EXPECT_EQ(compiled.vote_fractions_batch(batch),
+              interpreted.vote_fractions_batch(batch))
+        << "rows=" << n;
+  }
 }
 
 TEST(CompiledForest, BitIdenticalTwoClass) {
@@ -444,9 +481,7 @@ TEST(CompiledForest, RowBlockedPoolMatchesSerial) {
   const DataSet test = xor_data(200, rng);
   RandomForest rf;
   rf.fit(train, rng);
-  CompiledForestConfig cfg;
-  cfg.row_block = 16;  // force several blocks
-  const CompiledForest compiled(rf, cfg);
+  const CompiledForest compiled(rf);  // 200 rows span 4 row blocks
   util::ThreadPool pool(4);
   EXPECT_EQ(compiled.vote_fractions_batch(test, &pool),
             compiled.vote_fractions_batch(test, nullptr));
@@ -480,261 +515,10 @@ TEST(CompiledForest, ForestDispatchesThroughCompiledForm) {
   EXPECT_EQ(compiled_rf.compiled(), nullptr);
 }
 
-TEST(CompiledForest, FloatThresholdModeStaysAccurate) {
-  util::Rng rng(47);
-  const DataSet train = blobs(100, rng);
-  const DataSet test = blobs(60, rng);
-  RandomForest rf;
-  rf.fit(train, rng);
-  CompiledForestConfig cfg;
-  cfg.precision = ThresholdPrecision::kFloat;
-  const CompiledForest compiled(rf, cfg);
-  // Float thresholds quantize split points, so bit-identity is out of
-  // contract; on well-separated data the verdicts still agree.
-  const std::vector<Label> a = compiled.predict_batch(test);
-  const std::vector<Label> b = rf.predict_batch(test);
-  ASSERT_EQ(a.size(), b.size());
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) agree += a[i] == b[i];
-  EXPECT_GE(agree, a.size() - 2);
-}
-
 TEST(CompiledForest, CompileUnfittedThrows) {
   RandomForest rf;
   EXPECT_THROW(rf.compile(), std::logic_error);
   EXPECT_THROW(CompiledForest{rf}, std::invalid_argument);
-}
-
-// ---------- SIMD dispatch & precision parity ----------
-
-// Integer-valued blobs: features land on a unit grid, so split midpoints
-// are exact halves (mathematically equal thresholds stay bit-identical
-// doubles) and threshold gaps stay far above the int16 quantization step —
-// the firmware-quantized input shape the int16 arena targets.
-DataSet grid_blobs(int n_per_class, util::Rng& rng) {
-  DataSet d(2);
-  for (int i = 0; i < n_per_class; ++i) {
-    d.add(std::vector<double>{std::round(rng.gaussian(0, 25)),
-                              std::round(rng.gaussian(0, 25))},
-          0);
-    d.add(std::vector<double>{std::round(rng.gaussian(150, 25)),
-                              std::round(rng.gaussian(150, 25))},
-          1);
-  }
-  return d;
-}
-
-// One-split single-tree forest: f0 <= thr -> 0, else 1.
-RandomForest stump_forest(double thr, int num_classes = 2) {
-  std::vector<DecisionTree::Node> nodes(3);
-  nodes[0].feature = 0;
-  nodes[0].threshold = thr;
-  nodes[0].left = 1;
-  nodes[0].right = 2;
-  nodes[2].label = 1;
-  DecisionTree tree;
-  tree.import_model(nodes, {1.0}, num_classes);
-  RandomForest rf;
-  rf.import_model({tree}, {1.0}, num_classes);
-  return rf;
-}
-
-// The dispatched batch path must be bit-identical to the forced-scalar
-// path for every precision mode, whatever the batch shape: remainder
-// groups (n % 8 != 0), single rows, super-group boundaries (32/33) and
-// row-block boundaries (64/65).
-TEST(CompiledForestSimd, DispatchedBatchBitIdenticalToForcedScalar) {
-  util::Rng rng(51);
-  const DataSet train = grid_blobs(100, rng);
-  RandomForest rf;
-  rf.fit(train, rng);
-  for (const ThresholdPrecision p :
-       {ThresholdPrecision::kDouble, ThresholdPrecision::kFloat,
-        ThresholdPrecision::kInt16}) {
-    CompiledForestConfig cfg;
-    cfg.precision = p;
-    const CompiledForest compiled(rf, cfg);
-    for (const int rows : {1, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65}) {
-      DataSet batch(2);
-      for (int i = 0; i < rows; ++i) {
-        const auto k = static_cast<std::size_t>(i) % train.size();
-        batch.add(train.row(k), train.label(k));
-      }
-      const std::vector<std::vector<double>> dispatched =
-          compiled.vote_fractions_batch(batch);
-      util::simd::ScopedForceScalar scalar;
-      EXPECT_EQ(dispatched, compiled.vote_fractions_batch(batch))
-          << "precision=" << static_cast<int>(p) << " rows=" << rows;
-    }
-  }
-}
-
-// Non-finite feature values must take identical branches on every ISA:
-// NaN fails <= and goes right, -inf goes left, +inf goes right (the int16
-// mode maps them to ordering sentinels before the kernels ever see them).
-// The single-row latency path must agree with the batch path too.
-TEST(CompiledForestSimd, NonFiniteRowsBitIdenticalAcrossIsaAndPaths) {
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  util::Rng rng(52);
-  const DataSet train = grid_blobs(80, rng);
-  RandomForest rf;
-  rf.fit(train, rng);
-  DataSet batch(2);
-  batch.add(std::vector<double>{kNaN, 10.0}, 0);
-  batch.add(std::vector<double>{kInf, -kInf}, 0);
-  batch.add(std::vector<double>{10.0, kNaN}, 0);
-  batch.add(std::vector<double>{-kInf, kNaN}, 0);
-  for (int i = 0; batch.size() < 24; ++i) {  // fill full vector groups
-    batch.add(train.row(static_cast<std::size_t>(i)),
-              train.label(static_cast<std::size_t>(i)));
-  }
-  for (const ThresholdPrecision p :
-       {ThresholdPrecision::kDouble, ThresholdPrecision::kFloat,
-        ThresholdPrecision::kInt16}) {
-    CompiledForestConfig cfg;
-    cfg.precision = p;
-    const CompiledForest compiled(rf, cfg);
-    const std::vector<Label> dispatched = compiled.predict_batch(batch);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(dispatched[i], compiled.predict(batch.row(i)))
-          << "precision=" << static_cast<int>(p) << " row=" << i;
-    }
-    util::simd::ScopedForceScalar scalar;
-    EXPECT_EQ(dispatched, compiled.predict_batch(batch))
-        << "precision=" << static_cast<int>(p);
-  }
-}
-
-// An exact tie x == threshold quantizes equal on both sides and goes left,
-// exactly like the double compare; values a full quantization step past
-// the threshold go right. Thresholds {0, 100} make the feature's quantizer
-// step 100/65534 ~ 0.0015, so +-0.5 sits far outside the tolerance band.
-TEST(CompiledForestSimd, Int16TieBreaksLeftAtExactThreshold) {
-  std::vector<DecisionTree::Node> nodes(5);
-  nodes[0].feature = 0;
-  nodes[0].threshold = 0.0;
-  nodes[0].left = 1;
-  nodes[0].right = 2;
-  nodes[1].label = 0;
-  nodes[2].feature = 0;
-  nodes[2].threshold = 100.0;
-  nodes[2].left = 3;
-  nodes[2].right = 4;
-  nodes[3].label = 1;
-  nodes[4].label = 2;
-  DecisionTree tree;
-  tree.import_model(nodes, {1.0}, 3);
-  RandomForest rf;
-  rf.import_model({tree}, {1.0}, 3);
-  CompiledForestConfig cfg;
-  cfg.precision = ThresholdPrecision::kInt16;
-  const CompiledForest q(rf, cfg);
-  const CompiledForest d(rf);
-  DataSet batch(1);
-  for (const double x : {-0.5, 0.0, 0.5, 99.5, 100.0, 100.5}) {
-    EXPECT_EQ(q.predict(std::vector<double>{x}),
-              d.predict(std::vector<double>{x}))
-        << "x=" << x;
-    for (int rep = 0; rep < 8; ++rep) batch.add(std::vector<double>{x}, 0);
-  }
-  EXPECT_EQ(q.predict(std::vector<double>{0.0}), 0);    // tie -> left
-  EXPECT_EQ(q.predict(std::vector<double>{100.0}), 1);  // tie -> left
-  // Whole-group batches push the ties through the vector kernel when one
-  // is available; results must not move.
-  const std::vector<Label> dispatched = q.predict_batch(batch);
-  EXPECT_EQ(dispatched, d.predict_batch(batch));
-  util::simd::ScopedForceScalar scalar;
-  EXPECT_EQ(dispatched, q.predict_batch(batch));
-}
-
-// Two distinct thresholds of one feature collapsing to the same quantized
-// value would rewrite the forest's decision structure, so kInt16
-// compilation must reject the forest instead of mispredicting quietly.
-TEST(CompiledForestSimd, Int16OrderingLossThrows) {
-  std::vector<DecisionTree::Node> nodes(7);
-  nodes[0].feature = 0;
-  nodes[0].threshold = 1e-7;  // quantizes equal to 0.0 under range [0, 100]
-  nodes[0].left = 1;
-  nodes[0].right = 2;
-  nodes[1].feature = 0;
-  nodes[1].threshold = 0.0;
-  nodes[1].left = 3;
-  nodes[1].right = 4;
-  nodes[2].feature = 0;
-  nodes[2].threshold = 100.0;
-  nodes[2].left = 5;
-  nodes[2].right = 6;
-  DecisionTree tree;
-  tree.import_model(nodes, {1.0}, 2);
-  RandomForest rf;
-  rf.import_model({tree}, {1.0}, 2);
-  CompiledForestConfig cfg;
-  cfg.precision = ThresholdPrecision::kInt16;
-  EXPECT_THROW(CompiledForest(rf, cfg), std::invalid_argument);
-}
-
-// The float-mode tolerance contract, pinned on a hand-built split: a row
-// value strictly between thr and double(float(thr)) is the only place a
-// branch may flip, and there it must flip deterministically (both operands
-// round to the same float, and ties go left).
-TEST(CompiledForestSimd, FloatModeFlipsOnlyWithinOneUlpOfThreshold) {
-  const double thr = 0.1;  // rounds UP to float: float(0.1) > 0.1
-  const double thr_f = static_cast<double>(static_cast<float>(thr));
-  ASSERT_GT(thr_f, thr);
-  RandomForest rf = stump_forest(thr);
-  const CompiledForest d(rf);
-  CompiledForestConfig cfg;
-  cfg.precision = ThresholdPrecision::kFloat;
-  const CompiledForest fl(rf, cfg);
-  const double inside = thr + (thr_f - thr) / 2.0;  // in the flip interval
-  ASSERT_GT(inside, thr);
-  ASSERT_LT(inside, thr_f);
-  EXPECT_EQ(d.predict(std::vector<double>{inside}), 1);   // double: right
-  EXPECT_EQ(fl.predict(std::vector<double>{inside}), 0);  // float: tie, left
-  EXPECT_EQ(fl.predict(std::vector<double>{thr_f}), 0);
-  EXPECT_EQ(d.predict(std::vector<double>{thr_f}), 1);
-  // Outside the interval both modes agree.
-  const double above = static_cast<double>(
-      std::nextafter(static_cast<float>(thr), 1.0f));
-  for (const double x : {0.05, thr, above + above * 1e-7, 0.2}) {
-    EXPECT_EQ(fl.predict(std::vector<double>{x}),
-              d.predict(std::vector<double>{x}))
-        << "x=" << x;
-  }
-}
-
-// On grid-quantized features (gaps far above the quantization step) the
-// int16 argmax must agree with kDouble exactly — the cross-precision half
-// of the contract.
-TEST(CompiledForestSimd, Int16ArgmaxMatchesDoubleOnGridFeatures) {
-  util::Rng rng(53);
-  const DataSet train = grid_blobs(100, rng);
-  const DataSet test = grid_blobs(60, rng);
-  RandomForest rf;
-  rf.fit(train, rng);
-  CompiledForestConfig cfg;
-  cfg.precision = ThresholdPrecision::kInt16;
-  const CompiledForest q(rf, cfg);
-  const CompiledForest d(rf);
-  EXPECT_EQ(q.predict_batch(test), d.predict_batch(test));
-}
-
-// dispatch_isa folds precision mode and the runtime knobs: kDouble is the
-// scalar reference and never dispatches SIMD; the reduced-precision modes
-// follow active_isa(), including the forced-scalar override.
-TEST(CompiledForestSimd, DispatchIsaReflectsPrecisionAndForceScalar) {
-  util::Rng rng(54);
-  RandomForest rf;
-  rf.fit(grid_blobs(40, rng), rng);
-  const CompiledForest d(rf);
-  EXPECT_EQ(d.dispatch_isa(), util::simd::Isa::kScalar);
-  CompiledForestConfig cfg;
-  cfg.precision = ThresholdPrecision::kFloat;
-  const CompiledForest fl(rf, cfg);
-  EXPECT_EQ(fl.dispatch_isa(), util::simd::active_isa());
-  util::simd::ScopedForceScalar guard;
-  EXPECT_EQ(fl.dispatch_isa(), util::simd::Isa::kScalar);
 }
 
 // ---------- model import validation ----------

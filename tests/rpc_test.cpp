@@ -650,7 +650,8 @@ TEST(RpcLoopback, ModelPushHotSwapNeverMixesForestsMidBatch) {
   std::atomic<bool> stop{false};
   std::atomic<int> replies{0};
   std::atomic<int> violations{0};
-  auto hammer = [&] {
+  std::atomic<int> thread_replies[2] = {0, 0};
+  auto hammer = [&](int id) {
     rpc::ClientConfig ccfg;
     ccfg.unix_socket = scfg.unix_socket;
     rpc::DecisionClient client(ccfg);
@@ -660,6 +661,7 @@ TEST(RpcLoopback, ModelPushHotSwapNeverMixesForestsMidBatch) {
           client.classify(rows);
       if (!votes.has_value()) continue;  // transient (server busy swapping)
       replies.fetch_add(1);
+      thread_replies[id].fetch_add(1);
       bool all_ten = true, all_seven = true;
       for (const std::vector<double>& row : *votes) {
         for (const double v : row) {
@@ -670,7 +672,25 @@ TEST(RpcLoopback, ModelPushHotSwapNeverMixesForestsMidBatch) {
       if (!all_ten && !all_seven) violations.fetch_add(1);
     }
   };
-  std::thread t1(hammer), t2(hammer);
+  std::thread t1(hammer, 0), t2(hammer, 1);
+
+  // Every swap must land under load: before the first push, wait (bounded)
+  // until each hammer thread has connected and holds a reply.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  auto both_replied = [&] {
+    return thread_replies[0].load() > 0 && thread_replies[1].load() > 0;
+  };
+  while (!both_replied() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (!both_replied()) {
+    stop.store(true, std::memory_order_release);
+    t1.join();
+    t2.join();
+    server.stop();
+    FAIL() << "hammer threads got no reply before the deadline";
+  }
 
   rpc::ClientConfig pcfg;
   pcfg.unix_socket = scfg.unix_socket;
