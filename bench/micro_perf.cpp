@@ -13,9 +13,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/classifier.h"
@@ -38,6 +40,7 @@
 #include "rpc/server.h"
 #include "sim/event_sim.h"
 #include "sim/fleet.h"
+#include "sim/fleet_world.h"
 #include "trace/dataset.h"
 #include "util/fft.h"
 #include "util/simd.h"
@@ -344,34 +347,18 @@ void BM_FleetWithFaults(benchmark::State& state) {
   const array::Codebook codebook;
   auto& f = Fixture::get();
   for (auto _ : state) {
-    std::vector<std::unique_ptr<env::Environment>> envs;
-    std::vector<std::unique_ptr<array::PhasedArray>> arrays;
-    std::vector<std::unique_ptr<channel::Link>> links;
-    std::vector<std::unique_ptr<core::LinkController>> controllers;
-    std::vector<sim::FleetLink> members;
+    std::vector<sim::StationSpec> specs(3);
     for (int i = 0; i < 3; ++i) {
-      envs.push_back(std::make_unique<env::Environment>(env::make_lobby()));
-      arrays.push_back(
-          std::make_unique<array::PhasedArray>(geom::Vec2{2, 6}, 0.0,
-                                               &codebook));
-      arrays.push_back(std::make_unique<array::PhasedArray>(
-          geom::Vec2{10.0 + i, 6}, 180.0, &codebook));
-      links.push_back(std::make_unique<channel::Link>(
-          envs.back().get(), arrays[arrays.size() - 2].get(),
-          arrays.back().get()));
-      controllers.push_back(std::make_unique<core::LibraController>(
-          links.back().get(), &f.em, &f.classifier));
-      sim::SessionScript script;
-      script.duration_ms = 500.0;
-      script.rx_trajectory =
-          sim::Trajectory::stationary({10.0 + i, 6}, 180.0);
-      members.push_back({envs.back().get(), links.back().get(),
-                         controllers.back().get(), script});
+      specs[i].client = {10.0 + i, 6};
+      specs[i].classifier = &f.classifier;
+      specs[i].script.duration_ms = 500.0;
     }
+    const sim::FleetWorld world(env::make_lobby(), {2, 6}, &codebook, &f.em,
+                                std::move(specs));
     sim::FleetConfig cfg;
     cfg.seed = 77;
     if (faulted) cfg.faults = faults::demo_plan(1234);
-    benchmark::DoNotOptimize(sim::run_fleet(members, cfg));
+    benchmark::DoNotOptimize(sim::run_fleet(world.members(), cfg));
   }
 }
 BENCHMARK(BM_FleetWithFaults)
@@ -380,13 +367,40 @@ BENCHMARK(BM_FleetWithFaults)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+// The deployment-scale world of BM_FleetMillionLinks and
+// BM_FleetOnlineTrainer: n LiBRA stations, each in its own copy of a small
+// 4-wall room over a 5-beam codebook (cheap per-link association sweeps, so
+// the tick pipeline, not world setup, dominates); every 4th link is
+// blocked from 5 ms until 2 ms before its session ends, so the classifier
+// actually serves batched rows.
+std::unique_ptr<sim::FleetWorld> scale_world(std::size_t n,
+                                             double duration_ms) {
+  auto& f = Fixture::get();
+  static const array::Codebook* small_codebook = [] {
+    array::CodebookConfig cb;
+    cb.num_beams = 5;
+    return new array::Codebook(cb);
+  }();
+  static const env::Environment room = env::make_conference_room();
+  std::vector<sim::StationSpec> specs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    specs[i].client = {6.0 + (i % 4) * 0.8, 2.0 + (i % 3)};
+    specs[i].classifier = &f.classifier;
+    specs[i].script.duration_ms = duration_ms;
+    if (i % 4 == 0) {
+      specs[i].script.blockage.push_back(
+          {5.0, duration_ms - 2.0, {{4.0, 2.8}, 0.3, 35.0}});
+    }
+  }
+  return std::make_unique<sim::FleetWorld>(room, geom::Vec2{1.0, 3.4},
+                                           small_codebook, &f.em,
+                                           std::move(specs));
+}
+
 // The sharded fleet engine at deployment scale. Args = {links, threads}
-// (threads 0 = hardware concurrency). Each iteration builds a fresh fleet
-// of `links` stations -- a 5-beam codebook and a small 4-wall room keep
-// the per-link association sweep cheap enough that the tick pipeline, not
-// world setup, dominates -- and runs it to completion; every 4th link gets
-// a blockage episode so the classifier actually serves batched rows.
-// World construction/teardown happens outside the timed region; the
+// (threads 0 = hardware concurrency). Each iteration builds a fresh
+// scale_world of `links` stations and runs it to completion. World
+// construction/teardown happens outside the timed region; the
 // `links_per_s` rate (link-frames served per second of run_fleet wall
 // time) is the number the CI gate tracks. The 100000-link grid point is
 // the CI entry; the 1000000-link point exists for local runs and is kept
@@ -395,59 +409,21 @@ BENCHMARK(BM_FleetWithFaults)
 void BM_FleetMillionLinks(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
-  auto& f = Fixture::get();
-  static const array::Codebook* small_codebook = [] {
-    array::CodebookConfig cb;
-    cb.num_beams = 5;
-    return new array::Codebook(cb);
-  }();
-  static const env::Environment room = env::make_conference_room();
-
-  struct World {
-    std::vector<env::Environment> envs;
-    std::vector<array::PhasedArray> arrays;  // [2i] = AP, [2i+1] = client
-    std::vector<channel::Link> links;
-    std::vector<core::LibraController> controllers;
-    std::vector<sim::FleetLink> members;
-  };
-
   std::int64_t frames = 0;
   std::int64_t rows = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    World w;
-    w.envs.reserve(n);
-    w.arrays.reserve(2 * n);
-    w.links.reserve(n);
-    w.controllers.reserve(n);
-    w.members.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      w.envs.push_back(room);  // own copy: scripts mutate blockers
-      w.arrays.emplace_back(geom::Vec2{1.0, 3.4}, 0.0, small_codebook);
-      w.arrays.emplace_back(geom::Vec2{6.0 + (i % 4) * 0.8, 2.0 + (i % 3)},
-                            180.0, small_codebook);
-      w.links.emplace_back(&w.envs[i], &w.arrays[2 * i],
-                           &w.arrays[2 * i + 1]);
-      w.controllers.emplace_back(&w.links[i], &f.em, &f.classifier);
-      sim::FleetLink member{&w.envs[i], &w.links[i], &w.controllers[i], {}};
-      member.script.duration_ms = 20.0;
-      member.script.rx_trajectory = sim::Trajectory::stationary(
-          w.arrays[2 * i + 1].position(), 180.0);
-      if (i % 4 == 0) {
-        member.script.blockage.push_back({5.0, 18.0, {{4.0, 2.8}, 0.3, 35.0}});
-      }
-      w.members.push_back(member);
-    }
+    std::unique_ptr<sim::FleetWorld> world = scale_world(n, 20.0);
     sim::FleetConfig cfg;
     cfg.seed = 99;
     cfg.num_threads = threads;
     state.ResumeTiming();
-    const sim::FleetResult result = sim::run_fleet(w.members, cfg);
+    const sim::FleetResult result = sim::run_fleet(world->members(), cfg);
     frames += result.link_frames;
     rows += result.batched_rows;
     benchmark::DoNotOptimize(result.ticks);
     state.PauseTiming();
-    w = World{};  // teardown of n worlds outside the timed region
+    world.reset();  // teardown of n worlds outside the timed region
     state.ResumeTiming();
   }
   state.SetItemsProcessed(frames);
@@ -476,66 +452,29 @@ void BM_FleetOnlineTrainer(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
   auto& f = Fixture::get();
-  static const array::Codebook* small_codebook = [] {
-    array::CodebookConfig cb;
-    cb.num_beams = 5;
-    return new array::Codebook(cb);
-  }();
-  static const env::Environment room = env::make_conference_room();
-
-  struct World {
-    std::vector<env::Environment> envs;
-    std::vector<array::PhasedArray> arrays;  // [2i] = AP, [2i+1] = client
-    std::vector<channel::Link> links;
-    std::vector<core::LibraController> controllers;
-    std::vector<sim::FleetLink> members;
-  };
-
   std::int64_t frames = 0;
   std::int64_t sampled = 0;
   for (auto _ : state) {
     state.PauseTiming();
     core::FleetTrainer trainer;
     trainer.seed_model(f.classifier.forest());
-    World w;
-    w.envs.reserve(n);
-    w.arrays.reserve(2 * n);
-    w.links.reserve(n);
-    w.controllers.reserve(n);
-    w.members.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      w.envs.push_back(room);
-      w.arrays.emplace_back(geom::Vec2{1.0, 3.4}, 0.0, small_codebook);
-      w.arrays.emplace_back(geom::Vec2{6.0 + (i % 4) * 0.8, 2.0 + (i % 3)},
-                            180.0, small_codebook);
-      w.links.emplace_back(&w.envs[i], &w.arrays[2 * i],
-                           &w.arrays[2 * i + 1]);
-      w.controllers.emplace_back(&w.links[i], &f.em, &f.classifier);
-      sim::FleetLink member{&w.envs[i], &w.links[i], &w.controllers[i], {}};
-      // Twice BM_FleetMillionLinks' 20 ms: a sampled decision resolves at
-      // the link's NEXT observe, so links must outlive their first
-      // decision for any TrainRow to reach the rings. links_per_s is a
-      // per-frame-normalized rate, so the grid points stay comparable.
-      member.script.duration_ms = 40.0;
-      member.script.rx_trajectory = sim::Trajectory::stationary(
-          w.arrays[2 * i + 1].position(), 180.0);
-      if (i % 4 == 0) {
-        member.script.blockage.push_back({5.0, 38.0, {{4.0, 2.8}, 0.3, 35.0}});
-      }
-      w.members.push_back(member);
-    }
+    // Twice BM_FleetMillionLinks' 20 ms: a sampled decision resolves at
+    // the link's NEXT observe, so links must outlive their first decision
+    // for any TrainRow to reach the rings. links_per_s is a
+    // per-frame-normalized rate, so the grid points stay comparable.
+    std::unique_ptr<sim::FleetWorld> world = scale_world(n, 40.0);
     sim::FleetConfig cfg;
     cfg.seed = 99;
     cfg.num_threads = threads;
     cfg.trainer = &trainer;
     cfg.backend = trainer.backend();
     state.ResumeTiming();
-    const sim::FleetResult result = sim::run_fleet(w.members, cfg);
+    const sim::FleetResult result = sim::run_fleet(world->members(), cfg);
     frames += result.link_frames;
     sampled += result.trainer_rows_sampled;
     benchmark::DoNotOptimize(result.ticks);
     state.PauseTiming();
-    w = World{};  // teardown of n worlds outside the timed region
+    world.reset();  // teardown of n worlds outside the timed region
     state.ResumeTiming();
   }
   state.SetItemsProcessed(frames);

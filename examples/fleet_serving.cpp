@@ -26,14 +26,15 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/controller.h"
 #include "env/registry.h"
 #include "obs/span.h"
 #include "phy/error_model.h"
 #include "rpc/client.h"
 #include "sim/fleet.h"
+#include "sim/fleet_world.h"
 #include "trace/dataset.h"
 #include "util/cli.h"
 
@@ -56,36 +57,19 @@ int main(int argc, char** argv) {
 
   // Each station gets its own copy of the world: the AP at one end of the
   // lobby, the client somewhere along the far wall.
-  std::vector<env::Environment> envs;
-  std::vector<array::PhasedArray> aps, clients;
-  std::vector<channel::Link> links;
-  std::vector<core::LibraController> controllers;
-  envs.reserve(kStations);
-  aps.reserve(kStations);
-  clients.reserve(kStations);
-  links.reserve(kStations);
-  controllers.reserve(kStations);
+  std::vector<sim::StationSpec> specs(kStations);
   for (int s = 0; s < kStations; ++s) {
-    envs.push_back(env::make_lobby());
-    aps.emplace_back(geom::Vec2{2.0, 6.0}, 0.0, &codebook);
-    clients.emplace_back(geom::Vec2{8.0 + s, 4.0 + (s % 3)}, 180.0,
-                         &codebook);
-    links.emplace_back(&envs[s], &aps[s], &clients[s]);
-    controllers.emplace_back(&links[s], &em, &classifier);
-  }
-
-  std::vector<sim::FleetLink> fleet(kStations);
-  for (int s = 0; s < kStations; ++s) {
-    fleet[s] = {&envs[s], &links[s], &controllers[s], {}};
-    fleet[s].script.duration_ms = 8000.0;
-    fleet[s].script.rx_trajectory = sim::Trajectory::stationary(
-        clients[s].position(), clients[s].boresight_deg());
+    specs[s].client = {8.0 + s, 4.0 + (s % 3)};
+    specs[s].classifier = &classifier;
+    specs[s].script.duration_ms = 8000.0;
   }
   // Station 2 walks away; a person blocks station 5; station 7 gets jammed.
-  fleet[2].script.rx_trajectory =
+  specs[2].script.rx_trajectory =
       sim::Trajectory::walk({10, 4}, {20, 8}, 8000.0, geom::Vec2{2, 6});
-  fleet[5].script.blockage.push_back({2000, 5000, {{6, 6}, 0.3, 35.0}});
-  fleet[7].script.interference.push_back({3000, 6000, {{14, 3}, 55.0, 0.5}});
+  specs[5].script.blockage.push_back({2000, 5000, {{6, 6}, 0.3, 35.0}});
+  specs[7].script.interference.push_back({3000, 6000, {{14, 3}, 55.0, 0.5}});
+  const sim::FleetWorld world(env::make_lobby(), {2, 6}, &codebook, &em,
+                              std::move(specs));
 
   sim::FleetConfig cfg;
   cfg.seed = 42;
@@ -116,7 +100,7 @@ int main(int argc, char** argv) {
                 ack.has_value() ? "" : " (unreachable -- will degrade)");
     cfg.backend = &*remote;
   }
-  const sim::FleetResult result = sim::run_fleet(fleet, cfg);
+  const sim::FleetResult result = sim::run_fleet(world.members(), cfg);
 
   std::printf("fleet of %d stations in %d shard(s), %lld lockstep ticks, "
               "%lld feature rows served in batches%s\n\n",

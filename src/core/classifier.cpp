@@ -114,9 +114,8 @@ void LibraClassifier::train_labeled(const ml::DataSet& rows, util::Rng& rng) {
   // classify_batch (and therefore the fleet's batched decide phase) rides
   // the flat arena from here on. OnlineLibra's sliding-window retrain and
   // the fleet trainer's candidate fits ride this same path, so a
-  // hot-swapped model is recompiled automatically -- and never compiled
-  // when compile_inference is off.
-  if (cfg_.compile_inference) forest_.compile();
+  // hot-swapped model is recompiled automatically.
+  forest_.compile();
   trained_ = true;
 }
 

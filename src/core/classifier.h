@@ -46,11 +46,6 @@ struct LibraClassifierConfig {
   // rate search, doing nothing costs one more observation window. 0
   // disables the gate (the paper's plain arg-max behavior).
   double min_confidence = 0.0;
-  // Freeze the forest into a flat-arena CompiledForest after every (re)train
-  // and serve inference through it (see ml/compiled_forest.h). Verdicts are
-  // bit-identical to the interpreted pointer walk; OFF keeps the legacy
-  // per-tree heap walk.
-  bool compile_inference = true;
   // Policy for NaN/Inf feature rows (see NonFiniteFeaturePolicy). The
   // default is to reject loudly: a non-finite feature reaching inference is
   // a caller bug unless the caller opted into graceful degradation.
@@ -81,7 +76,8 @@ class LibraClassifier {
   // Fit directly on pre-labeled feature rows -- the single fit path shared
   // by train(), OnlineLibra's sliding-window retrain, and the fleet
   // trainer's candidate fits (core/trainer.h). Freezes the forest into its
-  // compiled flat-arena form when compile_inference is on. Throws
+  // compiled flat-arena form (ml/compiled_forest.h), whose verdicts are
+  // bit-identical to the interpreted pointer walk. Throws
   // std::invalid_argument on an empty set, a row width other than
   // FeatureVector::kDim, or an out-of-range label.
   void train_labeled(const ml::DataSet& rows, util::Rng& rng);

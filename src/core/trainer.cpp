@@ -482,7 +482,6 @@ FleetTrainer::FitOutcome FleetTrainer::train_once_locked(bool force) {
   }
   LibraClassifierConfig cand_cfg;
   cand_cfg.forest = cfg_.forest;
-  cand_cfg.compile_inference = true;
   LibraClassifier candidate(cand_cfg);
   util::Rng fit_stream = fit_rng_.fork();
   {

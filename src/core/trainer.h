@@ -153,9 +153,9 @@ class ModelSlot {
 
 // DecisionBackend over a ModelSlot: the fleet serves through whatever model
 // the trainer last shipped. vote_batch pins the slot exactly once, so every
-// batch is answered wholly by one generation. In kDouble compile mode the
-// votes are exact tree counts / num_trees -- a slot seeded from the same
-// forest a classifier serves is bit-identical to in-process serving.
+// batch is answered wholly by one generation. Votes are exact tree counts /
+// num_trees, so a slot seeded from the same forest a classifier serves is
+// bit-identical to in-process serving.
 class SwapBackend final : public DecisionBackend {
  public:
   explicit SwapBackend(const ModelSlot* slot) : slot_(slot) {}

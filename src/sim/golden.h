@@ -7,6 +7,10 @@
 // station geometry, scripts -- is hard-coded here, so the run is a pure
 // function of (fleet_seed, fault_seed).
 //
+// The synthetic classifier and its error model are exported too: they are
+// the shared fixture of every fleet determinism suite, so "the same fleet"
+// means the same model everywhere.
+//
 // degradation_digest() folds the per-link frame logs into one FNV-1a 64
 // value over integer-ish fields only (link index, frame index, MCS, action,
 // ACK) -- deliberately excluding goodput and timestamps, whose doubles
@@ -17,6 +21,8 @@
 
 #include <cstdint>
 
+#include "core/classifier.h"
+#include "phy/error_model.h"
 #include "sim/fleet.h"
 
 namespace libra::sim {
@@ -27,6 +33,15 @@ inline constexpr std::uint64_t kGoldenFaultSeed = 1234;
 // a deliberate behavior change by running `build/tools/fault_digest` and
 // pasting the value it prints.
 inline constexpr std::uint64_t kGoldenDigest = 0xb7cd6e51aba0ec4aULL;
+
+// The synthetic 3-class classifier: a forest trained (Rng(1)) over clearly
+// separated BA / RA / NA cases. `num_threads` is the forest's thread count;
+// the trained model and every verdict are identical for any value.
+core::LibraClassifier make_golden_classifier(int num_threads);
+// make_golden_classifier(4), trained once per process.
+const core::LibraClassifier& golden_classifier();
+// The default MCS table's error model, built once per process.
+const phy::ErrorModel& golden_error_model();
 
 // Run the canonical faulted fleet. Deterministic for fixed seeds at any
 // forest thread count (the fleet determinism contract).

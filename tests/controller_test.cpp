@@ -4,43 +4,11 @@
 
 #include "core/controller.h"
 #include "env/registry.h"
+#include "sim/golden.h"
 #include "sim/session.h"
-#include "test_helpers.h"
 
 namespace libra {
 namespace {
-
-using libra::testing::make_record;
-
-// A trained classifier over clearly separated synthetic cases.
-const core::LibraClassifier& test_classifier() {
-  static const core::LibraClassifier clf = [] {
-    trace::Dataset ds;
-    for (int i = 0; i < 40; ++i) {
-      trace::CaseRecord ba = make_record(4, -1, 4);
-      ba.init_best.snr_db = 20.0;
-      ba.new_at_init_pair.snr_db = 5.0 - 0.1 * (i % 5);
-      ba.new_at_init_pair.tof_ns = std::nullopt;
-      ds.records.push_back(ba);
-      trace::CaseRecord ra = make_record(8, 5, 5);
-      ra.init_best.snr_db = 26.0;
-      ra.init_best.tof_ns = 20.0;
-      ra.new_at_init_pair.snr_db = 19.0 - 0.1 * (i % 7);
-      ra.new_at_init_pair.tof_ns = 45.0;
-      ds.records.push_back(ra);
-      trace::CaseRecord na = make_record(6, 6, 6);
-      na.forced_na = true;
-      na.init_best.snr_db = 22.0;
-      na.new_at_init_pair.snr_db = 22.0 - 0.05 * (i % 3);
-      ds.na_records.push_back(na);
-    }
-    core::LibraClassifier c;
-    util::Rng rng(1);
-    c.train(ds, {}, rng);
-    return c;
-  }();
-  return clf;
-}
 
 struct LiveFixture : ::testing::Test {
   LiveFixture()
@@ -241,7 +209,7 @@ TEST_F(LiveFixture, LibraControllerNeedsClassifier) {
 }
 
 TEST_F(LiveFixture, LibraControllerRunsAndAdapts) {
-  core::LibraController ctrl(&link, &em, &test_classifier(), {});
+  core::LibraController ctrl(&link, &em, &sim::golden_classifier(), {});
   util::Rng rng(8);
   ctrl.start(rng);
   for (int i = 0; i < 20; ++i) run_frame(ctrl, rng);
@@ -312,7 +280,7 @@ TEST_F(LiveFixture, InterferenceEpisodeAppliesAndClears) {
 }
 
 TEST_F(LiveFixture, WalkSessionKeepsLinkAlive) {
-  core::LibraController ctrl(&link, &em, &test_classifier(), {});
+  core::LibraController ctrl(&link, &em, &sim::golden_classifier(), {});
   sim::SessionScript script;
   script.duration_ms = 8000.0;
   script.rx_trajectory = sim::Trajectory::walk(

@@ -16,7 +16,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/controller.h"
@@ -24,157 +24,44 @@
 #include "faults/faults.h"
 #include "util/simd.h"
 #include "sim/fleet.h"
+#include "sim/fleet_world.h"
 #include "sim/golden.h"
 #include "test_helpers.h"
 
 namespace libra {
 namespace {
 
+using libra::testing::expect_fleets_identical;
 using libra::testing::make_record;
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// A trained 3-class classifier over clearly separated synthetic cases
-// (same corpus as fleet_test), parameterized on forest thread count so
-// thread invariance of faulted runs can be checked.
-core::LibraClassifier make_classifier(int num_threads) {
-  trace::Dataset ds;
-  for (int i = 0; i < 40; ++i) {
-    trace::CaseRecord ba = make_record(4, -1, 4);
-    ba.init_best.snr_db = 20.0;
-    ba.new_at_init_pair.snr_db = 5.0 - 0.1 * (i % 5);
-    ba.new_at_init_pair.tof_ns = std::nullopt;
-    ds.records.push_back(ba);
-    trace::CaseRecord ra = make_record(8, 5, 5);
-    ra.init_best.snr_db = 26.0;
-    ra.init_best.tof_ns = 20.0;
-    ra.new_at_init_pair.snr_db = 19.0 - 0.1 * (i % 7);
-    ra.new_at_init_pair.tof_ns = 45.0;
-    ds.records.push_back(ra);
-    trace::CaseRecord na = make_record(6, 6, 6);
-    na.forced_na = true;
-    na.init_best.snr_db = 22.0;
-    na.new_at_init_pair.snr_db = 22.0 - 0.05 * (i % 3);
-    ds.na_records.push_back(na);
-  }
-  core::LibraClassifierConfig cfg;
-  cfg.forest.num_threads = num_threads;
-  core::LibraClassifier c(cfg);
-  util::Rng rng(1);
-  c.train(ds, {}, rng);
-  return c;
-}
-
-const core::LibraClassifier& shared_classifier() {
-  static const core::LibraClassifier clf = make_classifier(4);
-  return clf;
-}
-
-const phy::ErrorModel& shared_error_model() {
-  static const phy::McsTable table;
-  static const phy::ErrorModel em(&table);
-  return em;
-}
-
-// One station's whole world, self-contained so every run builds an
-// identical fresh copy.
-struct Station {
-  env::Environment env;
-  array::PhasedArray ap;
-  array::PhasedArray client;
-  channel::Link link;
-  std::unique_ptr<core::LinkController> controller;
-  sim::SessionScript script;
-
-  Station(const array::Codebook* codebook, geom::Vec2 client_pos,
-          const core::LibraClassifier* clf)
-      : env(env::make_lobby()),
-        ap({2, 6}, 0.0, codebook),
-        client(client_pos, 180.0, codebook),
-        link(&env, &ap, &client) {
-    if (clf != nullptr) {
-      controller = std::make_unique<core::LibraController>(
-          &link, &shared_error_model(), clf);
-    } else {
-      controller = std::make_unique<core::RaFirstController>(
-          &link, &shared_error_model(), core::ControllerConfig{});
-    }
-  }
-};
-
-// A 3-station mixed fleet (2 LiBRA + 1 RA-first) with per-station
-// impairments. `clf` may be nullptr to make every station RA-first.
-std::vector<std::unique_ptr<Station>> build_stations(
-    const array::Codebook* codebook, const core::LibraClassifier* clf,
-    bool all_heuristic = false) {
-  const core::LibraClassifier* c0 = all_heuristic ? nullptr : clf;
-  std::vector<std::unique_ptr<Station>> stations;
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{10, 6}, c0));
-  stations[0]->script.duration_ms = 1200.0;
-  stations[0]->script.rx_trajectory =
-      sim::Trajectory::stationary({10, 6}, 180.0);
-  stations[0]->script.blockage.push_back({400.0, 900.0, {{6, 6}, 0.3, 35.0}});
-
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{12, 7}, c0));
-  stations[1]->script.duration_ms = 1200.0;
-  stations[1]->script.rx_trajectory =
-      sim::Trajectory::walk({12, 7}, {17, 8}, 1200.0, geom::Vec2{2, 6});
-
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{9, 5}, nullptr));
-  stations[2]->script.duration_ms = 1200.0;
-  stations[2]->script.rx_trajectory =
-      sim::Trajectory::stationary({9, 5}, 180.0);
-  stations[2]->script.interference.push_back(
-      {300.0, 900.0, {{10, 1}, 50.0, 0.5}});
-  return stations;
-}
-
+// A 3-station mixed fleet in the lobby (2 LiBRA + 1 RA-first) with
+// per-station impairments. `all_heuristic` makes every station RA-first.
 sim::FleetResult run_mixed_fleet(const core::LibraClassifier* clf,
                                  std::uint64_t fleet_seed,
                                  const faults::FaultPlan& plan,
                                  bool all_heuristic = false) {
+  const core::LibraClassifier* c0 = all_heuristic ? nullptr : clf;
+  std::vector<sim::StationSpec> specs(3);
+  specs[0] = {{10, 6}, c0, {}};
+  specs[0].script.blockage.push_back({400.0, 900.0, {{6, 6}, 0.3, 35.0}});
+  specs[1] = {{12, 7}, c0, {}};
+  specs[1].script.rx_trajectory =
+      sim::Trajectory::walk({12, 7}, {17, 8}, 1200.0, geom::Vec2{2, 6});
+  specs[2] = {{9, 5}, nullptr, {}};
+  specs[2].script.interference.push_back(
+      {300.0, 900.0, {{10, 1}, 50.0, 0.5}});
+  for (sim::StationSpec& spec : specs) spec.script.duration_ms = 1200.0;
   const array::Codebook codebook;
-  auto stations = build_stations(&codebook, clf, all_heuristic);
-  std::vector<sim::FleetLink> members;
-  for (auto& s : stations) {
-    members.push_back({&s->env, &s->link, s->controller.get(), s->script});
-  }
+  const sim::FleetWorld world(env::make_lobby(), {2, 6}, &codebook,
+                              &sim::golden_error_model(), std::move(specs));
   sim::FleetConfig cfg;
   cfg.seed = fleet_seed;
   cfg.keep_frame_logs = true;
   cfg.faults = plan;
-  return sim::run_fleet(members, cfg);
-}
-
-void expect_frame_logs_identical(const sim::FleetResult& a,
-                                 const sim::FleetResult& b) {
-  ASSERT_EQ(a.links.size(), b.links.size());
-  for (std::size_t i = 0; i < a.links.size(); ++i) {
-    const sim::SessionResult& x = a.links[i];
-    const sim::SessionResult& y = b.links[i];
-    EXPECT_EQ(x.frames, y.frames) << "link " << i;
-    EXPECT_EQ(x.bytes_mb, y.bytes_mb) << "link " << i;
-    EXPECT_EQ(x.avg_goodput_mbps, y.avg_goodput_mbps) << "link " << i;
-    EXPECT_EQ(x.adaptations_ba, y.adaptations_ba) << "link " << i;
-    EXPECT_EQ(x.adaptations_ra, y.adaptations_ra) << "link " << i;
-    EXPECT_EQ(x.outages, y.outages) << "link " << i;
-    EXPECT_EQ(x.total_outage_ms, y.total_outage_ms) << "link " << i;
-    ASSERT_EQ(x.frame_log.size(), y.frame_log.size()) << "link " << i;
-    for (std::size_t f = 0; f < x.frame_log.size(); ++f) {
-      const core::FrameReport& p = x.frame_log[f];
-      const core::FrameReport& q = y.frame_log[f];
-      ASSERT_EQ(p.t_ms, q.t_ms) << "link " << i << " frame " << f;
-      ASSERT_EQ(p.mcs, q.mcs) << "link " << i << " frame " << f;
-      ASSERT_EQ(p.goodput_mbps, q.goodput_mbps)
-          << "link " << i << " frame " << f;
-      ASSERT_EQ(p.ack, q.ack) << "link " << i << " frame " << f;
-      ASSERT_EQ(p.action, q.action) << "link " << i << " frame " << f;
-    }
-  }
+  return sim::run_fleet(world.members(), cfg);
 }
 
 // ---------- property fuzz ----------
@@ -206,7 +93,7 @@ faults::FaultPlan random_plan(util::Rng& meta, std::uint64_t fault_seed) {
 }
 
 void expect_result_in_domain(const sim::FleetResult& result) {
-  const int top = shared_error_model().table().max_mcs();
+  const int top = sim::golden_error_model().table().max_mcs();
   for (std::size_t i = 0; i < result.links.size(); ++i) {
     const sim::SessionResult& link = result.links[i];
     EXPECT_GT(link.frames, 0) << "link " << i;
@@ -245,11 +132,11 @@ TEST(FaultsFuzz, RandomPlansStayInDomainAndReplay) {
                  std::to_string(fault_seed));
 
     const sim::FleetResult first =
-        run_mixed_fleet(&shared_classifier(), fleet_seed, plan);
+        run_mixed_fleet(&sim::golden_classifier(), fleet_seed, plan);
     expect_result_in_domain(first);
     const sim::FleetResult replay =
-        run_mixed_fleet(&shared_classifier(), fleet_seed, plan);
-    expect_frame_logs_identical(first, replay);
+        run_mixed_fleet(&sim::golden_classifier(), fleet_seed, plan);
+    expect_fleets_identical(first, replay);
 
     if (::testing::Test::HasFailure()) {
       std::ofstream out("faults_fuzz_failures.txt", std::ios::app);
@@ -272,10 +159,10 @@ TEST(FaultsDegradation, FullOutageReducesToRaFirstHeuristic) {
   outage.add(faults::FaultKind::kClassifierOutage, 1.0);
 
   const sim::FleetResult degraded =
-      run_mixed_fleet(&shared_classifier(), 77, outage);
+      run_mixed_fleet(&sim::golden_classifier(), 77, outage);
   const sim::FleetResult heuristic = run_mixed_fleet(
       nullptr, 77, faults::FaultPlan{}, /*all_heuristic=*/true);
-  expect_frame_logs_identical(degraded, heuristic);
+  expect_fleets_identical(degraded, heuristic);
 }
 
 // ---------- identity & invariance ----------
@@ -285,26 +172,27 @@ TEST(FaultsDegradation, FullOutageReducesToRaFirstHeuristic) {
 // behave the same (its draws come from the disjoint fault stream).
 TEST(FaultsIdentity, EmptyAndZeroProbabilityPlansAreNoOps) {
   const sim::FleetResult clean =
-      run_mixed_fleet(&shared_classifier(), 77, faults::FaultPlan{});
+      run_mixed_fleet(&sim::golden_classifier(), 77, faults::FaultPlan{});
 
   faults::FaultPlan zero;
   zero.seed = 9;
   zero.add(faults::FaultKind::kDropAck, 0.0);
   zero.add(faults::FaultKind::kGarbagePhy, 0.0, 100.0, 900.0);
-  const sim::FleetResult zeroed = run_mixed_fleet(&shared_classifier(), 77, zero);
+  const sim::FleetResult zeroed =
+      run_mixed_fleet(&sim::golden_classifier(), 77, zero);
 
-  expect_frame_logs_identical(clean, zeroed);
+  expect_fleets_identical(clean, zeroed);
 }
 
 // Faulted runs obey the fleet determinism contract: the forest thread
 // count must not change a single frame.
 TEST(FaultsIdentity, FaultedRunInvariantToForestThreadCount) {
-  const core::LibraClassifier serial = make_classifier(1);
-  const core::LibraClassifier pooled = make_classifier(4);
+  const core::LibraClassifier serial = sim::make_golden_classifier(1);
+  const core::LibraClassifier pooled = sim::make_golden_classifier(4);
   const faults::FaultPlan plan = faults::demo_plan(42);
   const sim::FleetResult a = run_mixed_fleet(&serial, 77, plan);
   const sim::FleetResult b = run_mixed_fleet(&pooled, 77, plan);
-  expect_frame_logs_identical(a, b);
+  expect_fleets_identical(a, b);
 }
 
 // ---------- golden digest ----------
@@ -349,7 +237,7 @@ TEST(FaultsValidation, ExtractFeaturesRejectsTruncatedCdrVector) {
 }
 
 TEST(FaultsValidation, ClassifyRejectsNonFiniteFeatures) {
-  const core::LibraClassifier& clf = shared_classifier();
+  const core::LibraClassifier& clf = sim::golden_classifier();
   trace::FeatureVector bad;
   bad.v = {1.0, 2.0, kNan, 0.5, 0.5, 0.9, 6.0};
   util::Rng rng(3);
@@ -448,7 +336,7 @@ TEST(FaultsValidation, PlanValidateRejectsMalformedWindows) {
   // And run_fleet validates up front.
   faults::FaultPlan bad;
   bad.add(faults::FaultKind::kDropAck, 2.0);
-  EXPECT_THROW(run_mixed_fleet(&shared_classifier(), 77, bad),
+  EXPECT_THROW(run_mixed_fleet(&sim::golden_classifier(), 77, bad),
                std::invalid_argument);
 }
 

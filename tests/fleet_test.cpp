@@ -6,131 +6,71 @@
 #include <cstdint>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/controller.h"
+#include "core/decision_backend.h"
 #include "env/registry.h"
 #include "json_mini.h"
+#include "ml/random_forest.h"
 #include "obs/span.h"
 #include "sim/fleet.h"
+#include "sim/fleet_world.h"
 #include "sim/golden.h"
 #include "test_helpers.h"
 
 namespace libra {
 namespace {
 
-using libra::testing::make_record;
-
-// A trained 3-class classifier over clearly separated synthetic cases,
-// with a multi-threaded forest: the fleet contract must hold under
-// parallel batched inference. `compiled` picks the flat-arena serving path
-// vs. the legacy pointer walk (both train the identical forest).
-core::LibraClassifier make_fleet_classifier(bool compiled) {
-  trace::Dataset ds;
-  for (int i = 0; i < 40; ++i) {
-    trace::CaseRecord ba = make_record(4, -1, 4);
-    ba.init_best.snr_db = 20.0;
-    ba.new_at_init_pair.snr_db = 5.0 - 0.1 * (i % 5);
-    ba.new_at_init_pair.tof_ns = std::nullopt;
-    ds.records.push_back(ba);
-    trace::CaseRecord ra = make_record(8, 5, 5);
-    ra.init_best.snr_db = 26.0;
-    ra.init_best.tof_ns = 20.0;
-    ra.new_at_init_pair.snr_db = 19.0 - 0.1 * (i % 7);
-    ra.new_at_init_pair.tof_ns = 45.0;
-    ds.records.push_back(ra);
-    trace::CaseRecord na = make_record(6, 6, 6);
-    na.forced_na = true;
-    na.init_best.snr_db = 22.0;
-    na.new_at_init_pair.snr_db = 22.0 - 0.05 * (i % 3);
-    ds.na_records.push_back(na);
-  }
-  core::LibraClassifierConfig cfg;
-  cfg.forest.num_threads = 4;  // num_threads = K in the fleet contract
-  cfg.compile_inference = compiled;
-  core::LibraClassifier c(cfg);
-  util::Rng rng(1);
-  c.train(ds, {}, rng);
-  return c;
-}
-
-const core::LibraClassifier& fleet_classifier() {
-  static const core::LibraClassifier clf =
-      make_fleet_classifier(/*compiled=*/true);
-  return clf;
-}
-
-const phy::ErrorModel& shared_error_model() {
-  static const phy::McsTable table;
-  static const phy::ErrorModel em(&table);
-  return em;
-}
-
-// One station's whole world, self-contained so fleet and serial reference
-// runs can each build an identical fresh copy.
-struct Station {
-  env::Environment env;
-  array::PhasedArray ap;
-  array::PhasedArray client;
-  channel::Link link;
-  std::unique_ptr<core::LinkController> controller;
-  sim::SessionScript script;
-
-  // `clf` = the LiBRA classifier serving this station, or nullptr for the
-  // RA-first baseline controller.
-  Station(const array::Codebook* codebook, geom::Vec2 client_pos,
-          const core::LibraClassifier* clf)
-      : env(env::make_lobby()),
-        ap({2, 6}, 0.0, codebook),
-        client(client_pos, 180.0, codebook),
-        link(&env, &ap, &client) {
-    if (clf != nullptr) {
-      controller = std::make_unique<core::LibraController>(
-          &link, &shared_error_model(), clf);
-    } else {
-      controller = std::make_unique<core::RaFirstController>(
-          &link, &shared_error_model(), core::ControllerConfig{});
-    }
-  }
-};
+using libra::testing::expect_fleets_identical;
 
 // A 4-station mixed fleet with per-station impairments and staggered
 // session lengths (station 3 finishes early and sits out later ticks).
-std::vector<std::unique_ptr<Station>> build_stations(
-    const array::Codebook* codebook,
-    const core::LibraClassifier* clf = &fleet_classifier()) {
-  std::vector<std::unique_ptr<Station>> stations;
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{10, 6}, clf));
-  stations[0]->script.duration_ms = 2000.0;
-  stations[0]->script.rx_trajectory =
-      sim::Trajectory::stationary({10, 6}, 180.0);
-  stations[0]->script.blockage.push_back({600.0, 1400.0, {{6, 6}, 0.3, 35.0}});
-
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{12, 7}, clf));
-  stations[1]->script.duration_ms = 2000.0;
-  stations[1]->script.rx_trajectory =
+// Station 2 is the RA-first baseline.
+std::vector<sim::StationSpec> mixed_specs() {
+  const core::LibraClassifier* clf = &sim::golden_classifier();
+  std::vector<sim::StationSpec> specs(4);
+  specs[0] = {{10, 6}, clf, {}};
+  specs[0].script.duration_ms = 2000.0;
+  specs[0].script.blockage.push_back({600.0, 1400.0, {{6, 6}, 0.3, 35.0}});
+  specs[1] = {{12, 7}, clf, {}};
+  specs[1].script.duration_ms = 2000.0;
+  specs[1].script.rx_trajectory =
       sim::Trajectory::walk({12, 7}, {18, 8}, 2000.0, geom::Vec2{2, 6});
-
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{9, 5}, nullptr));
-  stations[2]->script.duration_ms = 2000.0;
-  stations[2]->script.rx_trajectory =
-      sim::Trajectory::stationary({9, 5}, 180.0);
-  stations[2]->script.interference.push_back(
+  specs[2] = {{9, 5}, nullptr, {}};
+  specs[2].script.duration_ms = 2000.0;
+  specs[2].script.interference.push_back(
       {500.0, 1500.0, {{10, 1}, 50.0, 0.5}});
+  specs[3] = {{11, 6}, clf, {}};
+  specs[3].script.duration_ms = 800.0;  // early finisher
+  return specs;
+}
 
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{11, 6}, clf));
-  stations[3]->script.duration_ms = 800.0;  // early finisher
-  stations[3]->script.rx_trajectory =
-      sim::Trajectory::stationary({11, 6}, 180.0);
-  return stations;
+// The lobby world (AP at (2, 6)) every fleet in this suite runs in.
+sim::FleetWorld lobby_world(const array::Codebook* codebook,
+                            std::vector<sim::StationSpec> specs) {
+  return sim::FleetWorld(env::make_lobby(), {2, 6}, codebook,
+                         &sim::golden_error_model(), std::move(specs));
+}
+
+// One fresh run of the mixed fleet, frame logs kept.
+sim::FleetResult run_mixed_fleet(sim::FleetConfig cfg) {
+  const array::Codebook codebook;
+  const sim::FleetWorld world = lobby_world(&codebook, mixed_specs());
+  cfg.keep_frame_logs = true;
+  return sim::run_fleet(world.members(), cfg);
+}
+
+sim::FleetConfig grid_cfg(std::uint64_t seed, int shards, int num_threads) {
+  sim::FleetConfig cfg;
+  cfg.seed = seed;
+  cfg.shards = shards;
+  cfg.num_threads = num_threads;
+  return cfg;
 }
 
 TEST(Fleet, BitIdenticalToIndependentSessions) {
@@ -138,105 +78,24 @@ TEST(Fleet, BitIdenticalToIndependentSessions) {
   constexpr std::uint64_t kSeed = 77;
 
   // Fleet run: lockstep ticks, batched inference.
-  auto fleet_stations = build_stations(&codebook);
-  std::vector<sim::FleetLink> members;
-  for (auto& s : fleet_stations) {
-    members.push_back({&s->env, &s->link, s->controller.get(), s->script});
-  }
-  sim::FleetConfig cfg;
-  cfg.seed = kSeed;
-  cfg.keep_frame_logs = true;
-  const sim::FleetResult fleet = sim::run_fleet(members, cfg);
-  ASSERT_EQ(fleet.links.size(), fleet_stations.size());
+  const sim::FleetResult fleet = run_mixed_fleet(grid_cfg(kSeed, 0, 1));
+  ASSERT_EQ(fleet.links.size(), 4u);
   EXPECT_GT(fleet.ticks, 0);
   EXPECT_GT(fleet.batched_rows, 0);  // the LiBRA stations used the engine
   EXPECT_EQ(fleet.tick_latency_us.count(),
             static_cast<std::size_t>(fleet.ticks));
 
   // Serial reference: independent sessions on the same forked streams.
-  auto serial_stations = build_stations(&codebook);
+  const sim::FleetWorld world = lobby_world(&codebook, mixed_specs());
+  sim::FleetResult serial;
   util::Rng fleet_rng(kSeed);
-  for (std::size_t i = 0; i < serial_stations.size(); ++i) {
+  for (const sim::FleetLink& m : world.members()) {
     util::Rng link_rng = fleet_rng.fork();
-    Station& s = *serial_stations[i];
-    const sim::SessionResult serial = sim::run_session(
-        s.env, s.link, *s.controller, s.script, link_rng,
-        /*keep_frame_log=*/true);
-    const sim::SessionResult& batched = fleet.links[i];
-
-    EXPECT_EQ(batched.frames, serial.frames) << "link " << i;
-    EXPECT_EQ(batched.bytes_mb, serial.bytes_mb) << "link " << i;
-    EXPECT_EQ(batched.avg_goodput_mbps, serial.avg_goodput_mbps)
-        << "link " << i;
-    EXPECT_EQ(batched.adaptations_ba, serial.adaptations_ba) << "link " << i;
-    EXPECT_EQ(batched.adaptations_ra, serial.adaptations_ra) << "link " << i;
-    EXPECT_EQ(batched.outages, serial.outages) << "link " << i;
-    EXPECT_EQ(batched.total_outage_ms, serial.total_outage_ms)
-        << "link " << i;
-    ASSERT_EQ(batched.frame_log.size(), serial.frame_log.size())
-        << "link " << i;
-    for (std::size_t fidx = 0; fidx < serial.frame_log.size(); ++fidx) {
-      const core::FrameReport& a = batched.frame_log[fidx];
-      const core::FrameReport& b = serial.frame_log[fidx];
-      ASSERT_EQ(a.t_ms, b.t_ms) << "link " << i << " frame " << fidx;
-      ASSERT_EQ(a.mcs, b.mcs) << "link " << i << " frame " << fidx;
-      ASSERT_EQ(a.goodput_mbps, b.goodput_mbps)
-          << "link " << i << " frame " << fidx;
-      ASSERT_EQ(a.ack, b.ack) << "link " << i << " frame " << fidx;
-      ASSERT_EQ(a.action, b.action) << "link " << i << " frame " << fidx;
-    }
+    serial.links.push_back(sim::run_session(*m.environment, *m.link,
+                                            *m.controller, m.script, link_rng,
+                                            /*keep_frame_log=*/true));
   }
-}
-
-// Per-link results from one fleet run, flattened for comparison.
-std::vector<sim::SessionResult> run_build_stations_fleet(
-    const array::Codebook* codebook, std::uint64_t seed,
-    const core::LibraClassifier* clf = &fleet_classifier(), int shards = 0,
-    int num_threads = 1) {
-  auto stations = build_stations(codebook, clf);
-  std::vector<sim::FleetLink> members;
-  for (auto& s : stations) {
-    members.push_back({&s->env, &s->link, s->controller.get(), s->script});
-  }
-  sim::FleetConfig cfg;
-  cfg.seed = seed;
-  cfg.keep_frame_logs = true;
-  cfg.shards = shards;
-  cfg.num_threads = num_threads;
-  return sim::run_fleet(members, cfg).links;
-}
-
-// Full bit-identity check between two per-link result sets, frame logs
-// included (every float compared with ==, the determinism contract).
-void expect_links_identical(const std::vector<sim::SessionResult>& a,
-                            const std::vector<sim::SessionResult>& b,
-                            const std::string& tag) {
-  ASSERT_EQ(a.size(), b.size()) << tag;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].frames, b[i].frames) << tag << " link " << i;
-    EXPECT_EQ(a[i].bytes_mb, b[i].bytes_mb) << tag << " link " << i;
-    EXPECT_EQ(a[i].avg_goodput_mbps, b[i].avg_goodput_mbps)
-        << tag << " link " << i;
-    EXPECT_EQ(a[i].adaptations_ba, b[i].adaptations_ba)
-        << tag << " link " << i;
-    EXPECT_EQ(a[i].adaptations_ra, b[i].adaptations_ra)
-        << tag << " link " << i;
-    EXPECT_EQ(a[i].outages, b[i].outages) << tag << " link " << i;
-    EXPECT_EQ(a[i].total_outage_ms, b[i].total_outage_ms)
-        << tag << " link " << i;
-    ASSERT_EQ(a[i].frame_log.size(), b[i].frame_log.size())
-        << tag << " link " << i;
-    for (std::size_t f = 0; f < a[i].frame_log.size(); ++f) {
-      const core::FrameReport& x = a[i].frame_log[f];
-      const core::FrameReport& y = b[i].frame_log[f];
-      ASSERT_EQ(x.t_ms, y.t_ms) << tag << " link " << i << " frame " << f;
-      ASSERT_EQ(x.mcs, y.mcs) << tag << " link " << i << " frame " << f;
-      ASSERT_EQ(x.goodput_mbps, y.goodput_mbps)
-          << tag << " link " << i << " frame " << f;
-      ASSERT_EQ(x.ack, y.ack) << tag << " link " << i << " frame " << f;
-      ASSERT_EQ(x.action, y.action) << tag << " link " << i << " frame " << f;
-    }
-  }
+  expect_fleets_identical(fleet, serial, "fleet vs serial");
 }
 
 // The sharding contract on the mixed 4-station fleet: ANY (shards,
@@ -244,133 +103,100 @@ void expect_links_identical(const std::vector<sim::SessionResult>& a,
 // than links -- must reproduce the legacy single-shard serial run bit for
 // bit.
 TEST(Fleet, ShardThreadGridBitIdentical) {
-  const array::Codebook codebook;
-  const std::vector<sim::SessionResult> baseline =
-      run_build_stations_fleet(&codebook, 77, &fleet_classifier(),
-                               /*shards=*/1, /*num_threads=*/1);
+  const sim::FleetResult baseline = run_mixed_fleet(grid_cfg(77, 1, 1));
   constexpr struct {
     int shards;
     int threads;
   } kGrid[] = {{2, 1}, {3, 1}, {4, 1}, {0, 4}, {2, 4}, {4, 2}, {9, 3}};
   for (const auto& g : kGrid) {
-    const std::vector<sim::SessionResult> run = run_build_stations_fleet(
-        &codebook, 77, &fleet_classifier(), g.shards, g.threads);
-    expect_links_identical(baseline, run,
-                           "shards=" + std::to_string(g.shards) +
-                               " threads=" + std::to_string(g.threads));
+    expect_fleets_identical(baseline,
+                            run_mixed_fleet(grid_cfg(77, g.shards, g.threads)),
+                            "shards=" + std::to_string(g.shards) +
+                                " threads=" + std::to_string(g.threads));
   }
 }
 
 TEST(Fleet, ShardsClampedToLinkCountAndReported) {
-  const array::Codebook codebook;
-  auto stations = build_stations(&codebook);
-  std::vector<sim::FleetLink> members;
-  for (auto& s : stations) {
-    members.push_back({&s->env, &s->link, s->controller.get(), s->script});
-  }
-  sim::FleetConfig cfg;
-  cfg.seed = 77;
-  cfg.shards = 64;  // more shards than links
-  EXPECT_EQ(sim::run_fleet(members, cfg).shards_used, 4);
+  // More shards than links.
+  EXPECT_EQ(run_mixed_fleet(grid_cfg(77, 64, 1)).shards_used, 4);
 }
 
 TEST(Fleet, NegativeShardOrThreadCountThrows) {
   const array::Codebook codebook;
-  Station station(&codebook, {10, 6}, nullptr);
-  std::vector<sim::FleetLink> members;
-  members.push_back({&station.env, &station.link, station.controller.get(),
-                     station.script});
+  const sim::StationSpec spec{{10, 6}, nullptr, {}};
+  const sim::FleetWorld world = lobby_world(&codebook, {spec});
   sim::FleetConfig bad_shards;
   bad_shards.shards = -1;
-  EXPECT_THROW(sim::run_fleet(members, bad_shards), std::invalid_argument);
+  EXPECT_THROW(sim::run_fleet(world.members(), bad_shards),
+               std::invalid_argument);
   sim::FleetConfig bad_threads;
   bad_threads.num_threads = -2;
-  EXPECT_THROW(sim::run_fleet(members, bad_threads), std::invalid_argument);
+  EXPECT_THROW(sim::run_fleet(world.members(), bad_threads),
+               std::invalid_argument);
+}
+
+// The world builder owns every station and never relocates it: members()
+// borrows station k's own environment, link and controller, the Rx sits at
+// spec k's client pose, and a null classifier means the RA-first baseline.
+TEST(Fleet, FleetWorldOwnsOneStationPerSpec) {
+  static_assert(!std::is_copy_constructible_v<sim::FleetWorld>);
+  static_assert(!std::is_move_constructible_v<sim::FleetWorld>);
+  const array::Codebook codebook;
+  const std::vector<sim::StationSpec> specs = mixed_specs();
+  const sim::FleetWorld world = lobby_world(&codebook, specs);
+  ASSERT_EQ(world.members().size(), specs.size());
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    const sim::FleetLink& m = world.members()[k];
+    const sim::FleetWorld::Station& s = world.station(k);
+    EXPECT_EQ(m.environment, &s.environment) << "station " << k;
+    EXPECT_EQ(m.link, &s.link) << "station " << k;
+    EXPECT_EQ(m.controller, s.controller.get()) << "station " << k;
+    EXPECT_EQ(&s.link.rx(), &s.client) << "station " << k;
+    EXPECT_EQ(s.client.position().x, specs[k].client.x) << "station " << k;
+    EXPECT_EQ(s.client.position().y, specs[k].client.y) << "station " << k;
+    EXPECT_EQ(s.client.boresight_deg(), 180.0) << "station " << k;
+    EXPECT_EQ(m.script.duration_ms, specs[k].script.duration_ms)
+        << "station " << k;
+    const bool is_libra =
+        dynamic_cast<const core::LibraController*>(m.controller) != nullptr;
+    const bool is_ra_first =
+        dynamic_cast<const core::RaFirstController*>(m.controller) != nullptr;
+    EXPECT_EQ(is_libra, specs[k].classifier != nullptr) << "station " << k;
+    EXPECT_EQ(is_ra_first, specs[k].classifier == nullptr) << "station " << k;
+  }
 }
 
 // Telemetry is observation-only: disabling it at runtime must leave every
 // frame of every link bit-identical -- no counter, span, or clock read may
 // feed back into RNG draws or decisions.
 TEST(Fleet, TelemetryOnOffBitIdentical) {
-  const array::Codebook codebook;
-  const std::vector<sim::SessionResult> with_obs =
-      run_build_stations_fleet(&codebook, 77);
+  const sim::FleetResult with_obs = run_mixed_fleet(grid_cfg(77, 0, 1));
   obs::set_enabled(false);
-  const std::vector<sim::SessionResult> without_obs =
-      run_build_stations_fleet(&codebook, 77);
+  const sim::FleetResult without_obs = run_mixed_fleet(grid_cfg(77, 0, 1));
   obs::set_enabled(true);
-
-  ASSERT_EQ(with_obs.size(), without_obs.size());
-  for (std::size_t i = 0; i < with_obs.size(); ++i) {
-    const sim::SessionResult& a = with_obs[i];
-    const sim::SessionResult& b = without_obs[i];
-    EXPECT_EQ(a.frames, b.frames) << "link " << i;
-    EXPECT_EQ(a.bytes_mb, b.bytes_mb) << "link " << i;
-    EXPECT_EQ(a.avg_goodput_mbps, b.avg_goodput_mbps) << "link " << i;
-    EXPECT_EQ(a.adaptations_ba, b.adaptations_ba) << "link " << i;
-    EXPECT_EQ(a.adaptations_ra, b.adaptations_ra) << "link " << i;
-    EXPECT_EQ(a.outages, b.outages) << "link " << i;
-    EXPECT_EQ(a.total_outage_ms, b.total_outage_ms) << "link " << i;
-    ASSERT_EQ(a.frame_log.size(), b.frame_log.size()) << "link " << i;
-    for (std::size_t f = 0; f < a.frame_log.size(); ++f) {
-      ASSERT_EQ(a.frame_log[f].t_ms, b.frame_log[f].t_ms)
-          << "link " << i << " frame " << f;
-      ASSERT_EQ(a.frame_log[f].mcs, b.frame_log[f].mcs)
-          << "link " << i << " frame " << f;
-      ASSERT_EQ(a.frame_log[f].goodput_mbps, b.frame_log[f].goodput_mbps)
-          << "link " << i << " frame " << f;
-      ASSERT_EQ(a.frame_log[f].ack, b.frame_log[f].ack)
-          << "link " << i << " frame " << f;
-      ASSERT_EQ(a.frame_log[f].action, b.frame_log[f].action)
-          << "link " << i << " frame " << f;
-    }
-  }
+  expect_fleets_identical(with_obs, without_obs, "telemetry on/off");
 }
 
 // Compiled flat-arena inference is a pure serving-path optimization: a
 // fleet served by the compiled forest must be bit-identical, frame for
-// frame, to the same fleet served by the interpreted pointer walk. (In
-// double-threshold mode the two engines evaluate the exact same
-// comparisons; only the memory layout differs.)
+// frame, to the same fleet served through a LocalBackend over an
+// uncompiled copy of the same trees (the interpreted pointer walk). Both
+// engines evaluate the exact same comparisons; only the memory layout
+// differs.
 TEST(Fleet, CompiledInferenceOnOffBitIdentical) {
-  const array::Codebook codebook;
-  const core::LibraClassifier compiled_clf =
-      make_fleet_classifier(/*compiled=*/true);
-  const core::LibraClassifier interpreted_clf =
-      make_fleet_classifier(/*compiled=*/false);
-  ASSERT_NE(compiled_clf.forest().compiled(), nullptr);
-  ASSERT_EQ(interpreted_clf.forest().compiled(), nullptr);
+  const ml::RandomForest& forest = sim::golden_classifier().forest();
+  ASSERT_NE(forest.compiled(), nullptr);
+  ml::RandomForest interpreted;  // import_model leaves it uncompiled
+  interpreted.import_model(forest.trees(), forest.feature_importances(),
+                           forest.num_classes());
+  ASSERT_EQ(interpreted.compiled(), nullptr);
+  core::LocalBackend pointer_walk(&interpreted);
 
-  const std::vector<sim::SessionResult> compiled =
-      run_build_stations_fleet(&codebook, 77, &compiled_clf);
-  const std::vector<sim::SessionResult> interpreted =
-      run_build_stations_fleet(&codebook, 77, &interpreted_clf);
-
-  ASSERT_EQ(compiled.size(), interpreted.size());
-  for (std::size_t i = 0; i < compiled.size(); ++i) {
-    const sim::SessionResult& a = compiled[i];
-    const sim::SessionResult& b = interpreted[i];
-    EXPECT_EQ(a.frames, b.frames) << "link " << i;
-    EXPECT_EQ(a.bytes_mb, b.bytes_mb) << "link " << i;
-    EXPECT_EQ(a.avg_goodput_mbps, b.avg_goodput_mbps) << "link " << i;
-    EXPECT_EQ(a.adaptations_ba, b.adaptations_ba) << "link " << i;
-    EXPECT_EQ(a.adaptations_ra, b.adaptations_ra) << "link " << i;
-    EXPECT_EQ(a.outages, b.outages) << "link " << i;
-    EXPECT_EQ(a.total_outage_ms, b.total_outage_ms) << "link " << i;
-    ASSERT_EQ(a.frame_log.size(), b.frame_log.size()) << "link " << i;
-    for (std::size_t f = 0; f < a.frame_log.size(); ++f) {
-      ASSERT_EQ(a.frame_log[f].t_ms, b.frame_log[f].t_ms)
-          << "link " << i << " frame " << f;
-      ASSERT_EQ(a.frame_log[f].mcs, b.frame_log[f].mcs)
-          << "link " << i << " frame " << f;
-      ASSERT_EQ(a.frame_log[f].goodput_mbps, b.frame_log[f].goodput_mbps)
-          << "link " << i << " frame " << f;
-      ASSERT_EQ(a.frame_log[f].ack, b.frame_log[f].ack)
-          << "link " << i << " frame " << f;
-      ASSERT_EQ(a.frame_log[f].action, b.frame_log[f].action)
-          << "link " << i << " frame " << f;
-    }
-  }
+  sim::FleetConfig walked_cfg = grid_cfg(77, 0, 1);
+  walked_cfg.backend = &pointer_walk;
+  expect_fleets_identical(run_mixed_fleet(grid_cfg(77, 0, 1)),
+                          run_mixed_fleet(walked_cfg),
+                          "compiled vs pointer walk");
 }
 
 #if LIBRA_OBS_ENABLED
@@ -381,8 +207,7 @@ TEST(Fleet, CompiledInferenceOnOffBitIdentical) {
 TEST(Fleet, TraceContainsFleetSpans) {
   obs::TraceBuffer& buf = obs::TraceBuffer::global();
   buf.clear();
-  const array::Codebook codebook;
-  (void)run_build_stations_fleet(&codebook, 77);
+  (void)run_mixed_fleet(grid_cfg(77, 0, 1));
 
   const std::string path = ::testing::TempDir() + "fleet_trace.json";
   buf.write_chrome_json(path);
@@ -418,12 +243,8 @@ TEST(Fleet, TraceContainsFleetSpans) {
 // must reflect the run that produced them.
 TEST(Fleet, ResultCarriesMetricsSnapshot) {
   const array::Codebook codebook;
-  auto stations = build_stations(&codebook);
-  std::vector<sim::FleetLink> members;
-  for (auto& s : stations) {
-    members.push_back({&s->env, &s->link, s->controller.get(), s->script});
-  }
-  const sim::FleetResult result = sim::run_fleet(members, {});
+  const sim::FleetWorld world = lobby_world(&codebook, mixed_specs());
+  const sim::FleetResult result = sim::run_fleet(world.members(), {});
 
   const auto* ticks = result.metrics.find_counter("fleet.ticks");
   ASSERT_NE(ticks, nullptr);
@@ -446,44 +267,34 @@ TEST(Fleet, ResultCarriesMetricsSnapshot) {
 sim::FleetResult run_scale_fleet(const array::Codebook* codebook, int n,
                                  std::uint64_t seed, int shards,
                                  int num_threads) {
-  std::vector<std::unique_ptr<Station>> stations;
-  stations.reserve(static_cast<std::size_t>(n));
+  std::vector<sim::StationSpec> specs(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const geom::Vec2 pos{8.0 + (i % 11), 3.0 + (i % 5)};
-    const core::LibraClassifier* clf =
-        (i % 3 == 2) ? nullptr : &fleet_classifier();
-    stations.push_back(std::make_unique<Station>(codebook, pos, clf));
-    Station& s = *stations.back();
-    s.script.duration_ms = (i % 7 == 6) ? 30.0 : 60.0;  // early finishers
-    s.script.rx_trajectory = sim::Trajectory::stationary(pos, 180.0);
+    sim::StationSpec& spec = specs[static_cast<std::size_t>(i)];
+    spec.client = pos;
+    spec.classifier = (i % 3 == 2) ? nullptr : &sim::golden_classifier();
+    spec.script.duration_ms = (i % 7 == 6) ? 30.0 : 60.0;  // early finishers
     switch (i % 4) {
       case 1:
-        s.script.rx_trajectory = sim::Trajectory::walk(
-            pos, {pos.x + 3.0, pos.y + 1.0}, s.script.duration_ms,
+        spec.script.rx_trajectory = sim::Trajectory::walk(
+            pos, {pos.x + 3.0, pos.y + 1.0}, spec.script.duration_ms,
             geom::Vec2{2, 6});
         break;
       case 2:
-        s.script.blockage.push_back({15.0, 45.0, {{6, 6}, 0.3, 35.0}});
+        spec.script.blockage.push_back({15.0, 45.0, {{6, 6}, 0.3, 35.0}});
         break;
       case 3:
-        s.script.interference.push_back(
+        spec.script.interference.push_back(
             {10.0, 40.0, {{pos.x + 2.0, 1.0}, 50.0, 0.5}});
         break;
       default:
         break;
     }
   }
-  std::vector<sim::FleetLink> members;
-  members.reserve(stations.size());
-  for (auto& s : stations) {
-    members.push_back({&s->env, &s->link, s->controller.get(), s->script});
-  }
-  sim::FleetConfig cfg;
-  cfg.seed = seed;
+  const sim::FleetWorld world = lobby_world(codebook, std::move(specs));
+  sim::FleetConfig cfg = grid_cfg(seed, shards, num_threads);
   cfg.keep_frame_logs = true;
-  cfg.shards = shards;
-  cfg.num_threads = num_threads;
-  return sim::run_fleet(members, cfg);
+  return sim::run_fleet(world.members(), cfg);
 }
 
 // Fleet-scale shard/thread invariance: the 1k-link run must produce
@@ -519,7 +330,7 @@ TEST(Fleet, ThousandLinkShardThreadInvariant) {
     EXPECT_EQ(run.ticks, baseline.ticks) << tag;
     EXPECT_EQ(run.batched_rows, baseline.batched_rows) << tag;
     EXPECT_EQ(run.link_frames, baseline.link_frames) << tag;
-    expect_links_identical(baseline.links, run.links, tag);
+    expect_fleets_identical(baseline, run, tag);
   }
 }
 
@@ -527,29 +338,16 @@ TEST(Fleet, ThousandLinkShardThreadInvariant) {
 // function of (seed, fault seed) -- re-running at a different shard/thread
 // count, or simply re-running, replays bit for bit.
 TEST(Fleet, FaultedShardedRunReplaysBitForBit) {
-  const array::Codebook codebook;
-  const auto run = [&](int shards, int threads) {
-    auto stations = build_stations(&codebook);
-    std::vector<sim::FleetLink> members;
-    for (auto& s : stations) {
-      members.push_back({&s->env, &s->link, s->controller.get(), s->script});
-    }
-    sim::FleetConfig cfg;
-    cfg.seed = 77;
-    cfg.keep_frame_logs = true;
-    cfg.shards = shards;
-    cfg.num_threads = threads;
+  const auto run = [](int shards, int threads) {
+    sim::FleetConfig cfg = grid_cfg(77, shards, threads);
     cfg.faults = faults::demo_plan(1234);
-    return sim::run_fleet(members, cfg);
+    return run_mixed_fleet(cfg);
   };
   const sim::FleetResult serial = run(1, 1);
   const sim::FleetResult sharded = run(3, 4);
   const sim::FleetResult replay = run(3, 4);
-  const std::uint64_t digest = sim::degradation_digest(serial);
-  EXPECT_EQ(sim::degradation_digest(sharded), digest);
-  EXPECT_EQ(sim::degradation_digest(replay), digest);
-  expect_links_identical(serial.links, sharded.links, "faulted sharded");
-  expect_links_identical(sharded.links, replay.links, "faulted replay");
+  expect_fleets_identical(serial, sharded, "faulted sharded");
+  expect_fleets_identical(sharded, replay, "faulted replay");
 }
 
 // The counter-overflow regression: every accounting field that aggregates
@@ -601,12 +399,10 @@ TEST(Fleet, NullMembersThrow) {
 
 TEST(Fleet, InvalidScriptThrows) {
   const array::Codebook codebook;
-  Station station(&codebook, {10, 6}, nullptr);
-  station.script.duration_ms = 0.0;
-  std::vector<sim::FleetLink> members;
-  members.push_back({&station.env, &station.link, station.controller.get(),
-                     station.script});
-  EXPECT_THROW(sim::run_fleet(members, {}), std::invalid_argument);
+  sim::StationSpec spec{{10, 6}, nullptr, {}};
+  spec.script.duration_ms = 0.0;
+  const sim::FleetWorld world = lobby_world(&codebook, {spec});
+  EXPECT_THROW(sim::run_fleet(world.members(), {}), std::invalid_argument);
 }
 
 }  // namespace

@@ -41,6 +41,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/controller.h"
@@ -56,13 +57,14 @@
 #include "rpc/server.h"
 #include "rpc/wire.h"
 #include "sim/fleet.h"
+#include "sim/fleet_world.h"
 #include "sim/golden.h"
 #include "test_helpers.h"
 
 namespace libra {
 namespace {
 
-using libra::testing::make_record;
+using libra::testing::expect_fleets_identical;
 
 // ---------- shared fixtures ----------
 
@@ -72,42 +74,6 @@ std::string unique_socket_path() {
   static std::atomic<int> counter{0};
   return "/tmp/libra_rpc_test_" + std::to_string(::getpid()) + "_" +
          std::to_string(counter.fetch_add(1)) + ".sock";
-}
-
-// A trained 3-class classifier over clearly separated synthetic cases
-// (same corpus as fleet_test/faults_test).
-core::LibraClassifier make_classifier() {
-  trace::Dataset ds;
-  for (int i = 0; i < 40; ++i) {
-    trace::CaseRecord ba = make_record(4, -1, 4);
-    ba.init_best.snr_db = 20.0;
-    ba.new_at_init_pair.snr_db = 5.0 - 0.1 * (i % 5);
-    ba.new_at_init_pair.tof_ns = std::nullopt;
-    ds.records.push_back(ba);
-    trace::CaseRecord ra = make_record(8, 5, 5);
-    ra.init_best.snr_db = 26.0;
-    ra.init_best.tof_ns = 20.0;
-    ra.new_at_init_pair.snr_db = 19.0 - 0.1 * (i % 7);
-    ra.new_at_init_pair.tof_ns = 45.0;
-    ds.records.push_back(ra);
-    trace::CaseRecord na = make_record(6, 6, 6);
-    na.forced_na = true;
-    na.init_best.snr_db = 22.0;
-    na.new_at_init_pair.snr_db = 22.0 - 0.05 * (i % 3);
-    ds.na_records.push_back(na);
-  }
-  core::LibraClassifierConfig cfg;
-  cfg.forest.num_threads = 4;
-  core::LibraClassifier c(cfg);
-  util::Rng rng(1);
-  c.train(ds, {}, rng);
-  return c;
-}
-
-const phy::ErrorModel& shared_error_model() {
-  static const phy::McsTable table;
-  static const phy::ErrorModel em(&table);
-  return em;
 }
 
 // A small fitted forest over a trivially separable 3-feature corpus, with
@@ -879,63 +845,8 @@ TEST(RpcTrace, DaemonClassifySpanParentsUnderCallerSpan) {
 
 // ---------- fleet integration: loopback bit-identity ----------
 
-// One station's whole world (same corpus as fleet_test).
-struct Station {
-  env::Environment env;
-  array::PhasedArray ap;
-  array::PhasedArray client;
-  channel::Link link;
-  std::unique_ptr<core::LinkController> controller;
-  sim::SessionScript script;
-
-  Station(const array::Codebook* codebook, geom::Vec2 client_pos,
-          const core::LibraClassifier* clf)
-      : env(env::make_lobby()),
-        ap({2, 6}, 0.0, codebook),
-        client(client_pos, 180.0, codebook),
-        link(&env, &ap, &client) {
-    if (clf != nullptr) {
-      controller = std::make_unique<core::LibraController>(
-          &link, &shared_error_model(), clf);
-    } else {
-      controller = std::make_unique<core::RaFirstController>(
-          &link, &shared_error_model(), core::ControllerConfig{});
-    }
-  }
-};
-
-std::vector<std::unique_ptr<Station>> build_stations(
-    const array::Codebook* codebook, const core::LibraClassifier* clf) {
-  std::vector<std::unique_ptr<Station>> stations;
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{10, 6}, clf));
-  stations[0]->script.duration_ms = 1500.0;
-  stations[0]->script.rx_trajectory =
-      sim::Trajectory::stationary({10, 6}, 180.0);
-  stations[0]->script.blockage.push_back({400.0, 1100.0, {{6, 6}, 0.3, 35.0}});
-
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{12, 7}, clf));
-  stations[1]->script.duration_ms = 1500.0;
-  stations[1]->script.rx_trajectory =
-      sim::Trajectory::walk({12, 7}, {17, 8}, 1500.0, geom::Vec2{2, 6});
-
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{9, 5}, clf));
-  stations[2]->script.duration_ms = 1500.0;
-  stations[2]->script.rx_trajectory =
-      sim::Trajectory::stationary({9, 5}, 180.0);
-  stations[2]->script.interference.push_back(
-      {300.0, 1000.0, {{10, 1}, 50.0, 0.5}});
-
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{11, 6}, clf));
-  stations[3]->script.duration_ms = 700.0;  // early finisher
-  stations[3]->script.rx_trajectory =
-      sim::Trajectory::stationary({11, 6}, 180.0);
-  return stations;
-}
-
+// A 4-station LiBRA fleet in the lobby (one blocked, one walking, one
+// jammed, one early finisher), every station served by `clf`.
 sim::FleetResult run_station_fleet(const core::LibraClassifier* clf,
                                    std::uint64_t seed,
                                    core::DecisionBackend* backend = nullptr,
@@ -943,12 +854,21 @@ sim::FleetResult run_station_fleet(const core::LibraClassifier* clf,
                                    const faults::FaultPlan& plan = {},
                                    int scrape_port = 0,
                                    double scrape_rollup_ms = 1000.0) {
+  std::vector<sim::StationSpec> specs(4);
+  specs[0] = {{10, 6}, clf, {}};
+  specs[0].script.blockage.push_back({400.0, 1100.0, {{6, 6}, 0.3, 35.0}});
+  specs[1] = {{12, 7}, clf, {}};
+  specs[1].script.rx_trajectory =
+      sim::Trajectory::walk({12, 7}, {17, 8}, 1500.0, geom::Vec2{2, 6});
+  specs[2] = {{9, 5}, clf, {}};
+  specs[2].script.interference.push_back(
+      {300.0, 1000.0, {{10, 1}, 50.0, 0.5}});
+  specs[3] = {{11, 6}, clf, {}};
+  for (sim::StationSpec& spec : specs) spec.script.duration_ms = 1500.0;
+  specs[3].script.duration_ms = 700.0;  // early finisher
   const array::Codebook codebook;
-  auto stations = build_stations(&codebook, clf);
-  std::vector<sim::FleetLink> members;
-  for (auto& s : stations) {
-    members.push_back({&s->env, &s->link, s->controller.get(), s->script});
-  }
+  const sim::FleetWorld world(env::make_lobby(), {2, 6}, &codebook,
+                              &sim::golden_error_model(), std::move(specs));
   sim::FleetConfig cfg;
   cfg.seed = seed;
   cfg.keep_frame_logs = true;
@@ -958,39 +878,14 @@ sim::FleetResult run_station_fleet(const core::LibraClassifier* clf,
   cfg.faults = plan;
   cfg.scrape_port = scrape_port;
   cfg.scrape_rollup_ms = scrape_rollup_ms;
-  return sim::run_fleet(members, cfg);
-}
-
-void expect_frame_logs_identical(const sim::FleetResult& a,
-                                 const sim::FleetResult& b) {
-  ASSERT_EQ(a.links.size(), b.links.size());
-  for (std::size_t i = 0; i < a.links.size(); ++i) {
-    const sim::SessionResult& x = a.links[i];
-    const sim::SessionResult& y = b.links[i];
-    EXPECT_EQ(x.frames, y.frames) << "link " << i;
-    EXPECT_EQ(x.adaptations_ba, y.adaptations_ba) << "link " << i;
-    EXPECT_EQ(x.adaptations_ra, y.adaptations_ra) << "link " << i;
-    EXPECT_EQ(x.outages, y.outages) << "link " << i;
-    ASSERT_EQ(x.frame_log.size(), y.frame_log.size()) << "link " << i;
-    for (std::size_t f = 0; f < x.frame_log.size(); ++f) {
-      const core::FrameReport& p = x.frame_log[f];
-      const core::FrameReport& q = y.frame_log[f];
-      ASSERT_EQ(p.t_ms, q.t_ms) << "link " << i << " frame " << f;
-      ASSERT_EQ(p.mcs, q.mcs) << "link " << i << " frame " << f;
-      ASSERT_EQ(p.goodput_mbps, q.goodput_mbps)
-          << "link " << i << " frame " << f;
-      ASSERT_EQ(p.ack, q.ack) << "link " << i << " frame " << f;
-      ASSERT_EQ(p.action, q.action) << "link " << i << " frame " << f;
-    }
-  }
-  EXPECT_EQ(sim::degradation_digest(a), sim::degradation_digest(b));
+  return sim::run_fleet(world.members(), cfg);
 }
 
 // The acceptance criterion for the whole split: a loopback daemon serving
 // the classifier's own forest is bit-identical to in-process inference --
 // same frames, same digest -- at every (shards, num_threads) grid point.
 TEST(RpcFleet, LoopbackRemoteBitIdenticalToLocalAcrossGrid) {
-  const core::LibraClassifier clf = make_classifier();
+  const core::LibraClassifier clf = sim::make_golden_classifier(4);
   constexpr std::uint64_t kSeed = 77;
   const sim::FleetResult local = run_station_fleet(&clf, kSeed);
 
@@ -1014,7 +909,7 @@ TEST(RpcFleet, LoopbackRemoteBitIdenticalToLocalAcrossGrid) {
         run_station_fleet(&clf, kSeed, &backend, g.shards, g.threads);
     SCOPED_TRACE("shards=" + std::to_string(g.shards) +
                  " threads=" + std::to_string(g.threads));
-    expect_frame_logs_identical(local, remote);
+    expect_fleets_identical(local, remote);
   }
   server.stop();
 }
@@ -1029,7 +924,7 @@ TEST(RpcFleet, LoopbackRemoteBitIdenticalToLocalAcrossGrid) {
 TEST(RpcFleet, DeadBackendFromStartEqualsFullClassifierOutage) {
   constexpr std::uint64_t kSeed = 77;
 
-  core::LibraClassifier outage_clf = make_classifier();
+  core::LibraClassifier outage_clf = sim::make_golden_classifier(4);
   faults::FaultPlan outage;
   outage.seed = 5;
   outage.add(faults::FaultKind::kClassifierOutage, 1.0);
@@ -1040,11 +935,11 @@ TEST(RpcFleet, DeadBackendFromStartEqualsFullClassifierOutage) {
   dead.unix_socket = unique_socket_path();  // never bound
   dead.deadline_ms = 50.0;
   rpc::RemoteBackend backend(dead);
-  core::LibraClassifier remote_clf = make_classifier();
+  core::LibraClassifier remote_clf = sim::make_golden_classifier(4);
   remote_clf.set_backend(&backend);  // plan-time transport check sees it
   const sim::FleetResult degraded = run_station_fleet(&remote_clf, kSeed);
 
-  expect_frame_logs_identical(outaged, degraded);
+  expect_fleets_identical(outaged, degraded);
 #if LIBRA_OBS_ENABLED
   const auto* fallbacks =
       degraded.metrics.find_counter("rpc.outage_fallbacks");
@@ -1061,7 +956,7 @@ TEST(RpcFleet, FullRpcDropEqualsFullClassifierOutage) {
   constexpr std::uint64_t kSeed = 77;
   constexpr std::uint64_t kFaultSeed = 5;
 
-  core::LibraClassifier outage_clf = make_classifier();
+  core::LibraClassifier outage_clf = sim::make_golden_classifier(4);
   faults::FaultPlan outage;
   outage.seed = kFaultSeed;
   outage.add(faults::FaultKind::kClassifierOutage, 1.0);
@@ -1071,7 +966,7 @@ TEST(RpcFleet, FullRpcDropEqualsFullClassifierOutage) {
   rpc::ServerConfig scfg;
   scfg.unix_socket = unique_socket_path();
   rpc::DecisionServer server(scfg);
-  core::LibraClassifier remote_clf = make_classifier();
+  core::LibraClassifier remote_clf = sim::make_golden_classifier(4);
   server.set_forest(remote_clf.forest());
   server.start();
   rpc::ClientConfig ccfg;
@@ -1086,7 +981,7 @@ TEST(RpcFleet, FullRpcDropEqualsFullClassifierOutage) {
       run_station_fleet(&remote_clf, kSeed, nullptr, 0, 1, drop);
   server.stop();
 
-  expect_frame_logs_identical(outaged, dropped);
+  expect_fleets_identical(outaged, dropped);
 }
 
 // An RPC delay at or past the deadline is an outage; below it, nothing
@@ -1098,7 +993,7 @@ TEST(RpcFleet, RpcDelayPastDeadlineIsAnOutageBelowItIsNot) {
   rpc::ServerConfig scfg;
   scfg.unix_socket = unique_socket_path();
   rpc::DecisionServer server(scfg);
-  core::LibraClassifier clf = make_classifier();
+  core::LibraClassifier clf = sim::make_golden_classifier(4);
   server.set_forest(clf.forest());
   server.start();
   rpc::ClientConfig ccfg;
@@ -1108,7 +1003,7 @@ TEST(RpcFleet, RpcDelayPastDeadlineIsAnOutageBelowItIsNot) {
   clf.set_backend(&backend);
 
   // Slow (at the deadline) == a full classifier outage.
-  core::LibraClassifier outage_clf = make_classifier();
+  core::LibraClassifier outage_clf = sim::make_golden_classifier(4);
   faults::FaultPlan outage;
   outage.seed = kFaultSeed;
   outage.add(faults::FaultKind::kClassifierOutage, 1.0);
@@ -1121,7 +1016,7 @@ TEST(RpcFleet, RpcDelayPastDeadlineIsAnOutageBelowItIsNot) {
            /*magnitude=*/250.0);
   const sim::FleetResult delayed =
       run_station_fleet(&clf, kSeed, nullptr, 0, 1, slow);
-  expect_frame_logs_identical(outaged, delayed);
+  expect_fleets_identical(outaged, delayed);
 
   // Fast (under the deadline) == a clean loopback run.
   const sim::FleetResult clean = run_station_fleet(&clf, kSeed);
@@ -1132,7 +1027,7 @@ TEST(RpcFleet, RpcDelayPastDeadlineIsAnOutageBelowItIsNot) {
   const sim::FleetResult mildly_delayed =
       run_station_fleet(&clf, kSeed, nullptr, 0, 1, mild);
   server.stop();
-  expect_frame_logs_identical(clean, mildly_delayed);
+  expect_fleets_identical(clean, mildly_delayed);
 }
 
 // Kill the daemon under a fleet that is mid-run via FleetConfig::backend:
@@ -1142,7 +1037,7 @@ TEST(RpcFleet, RpcDelayPastDeadlineIsAnOutageBelowItIsNot) {
 // dead-server runs produce the same digest).
 TEST(RpcFleet, ServerKilledBeforeDecideDegradesAndStaysDeterministic) {
   constexpr std::uint64_t kSeed = 77;
-  const core::LibraClassifier clf = make_classifier();
+  const core::LibraClassifier clf = sim::make_golden_classifier(4);
 
   auto run_against_killed_server = [&] {
     rpc::ServerConfig scfg;
@@ -1177,7 +1072,7 @@ TEST(RpcFleet, ServerKilledBeforeDecideDegradesAndStaysDeterministic) {
   for (const sim::SessionResult& link : first.links) {
     EXPECT_GT(link.frames, 0);
   }
-  expect_frame_logs_identical(first, second);
+  expect_fleets_identical(first, second);
 #if LIBRA_OBS_ENABLED
   const obs::MetricsSnapshot snap_after = obs::Registry::global().snapshot();
   const auto* after = snap_after.find_counter("rpc.outage_fallbacks");
@@ -1211,7 +1106,7 @@ int free_tcp_port() {
 // client connection the fleet classifies through.
 TEST(RpcFleet, ScrapeEndpointIsObservationOnly) {
   constexpr std::uint64_t kSeed = 77;
-  const core::LibraClassifier clf = make_classifier();
+  const core::LibraClassifier clf = sim::make_golden_classifier(4);
 
   rpc::ServerConfig scfg;
   scfg.unix_socket = unique_socket_path();
@@ -1228,7 +1123,7 @@ TEST(RpcFleet, ScrapeEndpointIsObservationOnly) {
       run_station_fleet(&clf, kSeed, &backend, 0, 1, {}, free_tcp_port(),
                         /*scrape_rollup_ms=*/5.0);
   server.stop();
-  expect_frame_logs_identical(plain, scraped);
+  expect_fleets_identical(plain, scraped);
 }
 
 #if LIBRA_OBS_ENABLED
@@ -1273,7 +1168,7 @@ class GatedBackend final : public core::DecisionBackend {
 // controller-origin AND daemon-origin series in one document.
 TEST(RpcFleet, MidRunScrapeServesMergedControllerAndDaemonSeries) {
   constexpr std::uint64_t kSeed = 77;
-  const core::LibraClassifier clf = make_classifier();
+  const core::LibraClassifier clf = sim::make_golden_classifier(4);
 
   rpc::ServerConfig scfg;
   scfg.unix_socket = unique_socket_path();

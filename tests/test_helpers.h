@@ -1,10 +1,15 @@
 // Shared fixtures for the trace/core/sim tests: hand-built PairTraces and
 // CaseRecords with known ground truth, so labeling and simulation can be
-// checked against closed-form expectations.
+// checked against closed-form expectations, plus the one bit-for-bit
+// comparator of the fleet determinism suites.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <string>
 #include <vector>
 
+#include "sim/golden.h"
 #include "trace/collector.h"
 
 namespace libra::testing {
@@ -57,6 +62,38 @@ inline trace::CaseRecord make_record(int init, int after_ra, int after_ba,
   rec.new_at_failover =
       make_trace(after_failover == -2 ? after_ba : after_failover);
   return rec;
+}
+
+// Bit-for-bit equality of two fleet runs: every per-link SessionResult
+// field and every frame-log entry (floats compared with ==, the
+// determinism contract), plus the degradation digests.
+inline void expect_fleets_identical(const sim::FleetResult& a,
+                                    const sim::FleetResult& b,
+                                    const std::string& tag = "") {
+  ASSERT_EQ(a.links.size(), b.links.size()) << tag;
+  for (std::size_t i = 0; i < a.links.size(); ++i) {
+    const sim::SessionResult& x = a.links[i];
+    const sim::SessionResult& y = b.links[i];
+    EXPECT_EQ(x.frames, y.frames) << tag << " link " << i;
+    EXPECT_EQ(x.bytes_mb, y.bytes_mb) << tag << " link " << i;
+    EXPECT_EQ(x.avg_goodput_mbps, y.avg_goodput_mbps) << tag << " link " << i;
+    EXPECT_EQ(x.adaptations_ba, y.adaptations_ba) << tag << " link " << i;
+    EXPECT_EQ(x.adaptations_ra, y.adaptations_ra) << tag << " link " << i;
+    EXPECT_EQ(x.outages, y.outages) << tag << " link " << i;
+    EXPECT_EQ(x.total_outage_ms, y.total_outage_ms) << tag << " link " << i;
+    ASSERT_EQ(x.frame_log.size(), y.frame_log.size()) << tag << " link " << i;
+    for (std::size_t f = 0; f < x.frame_log.size(); ++f) {
+      const core::FrameReport& p = x.frame_log[f];
+      const core::FrameReport& q = y.frame_log[f];
+      ASSERT_EQ(p.t_ms, q.t_ms) << tag << " link " << i << " frame " << f;
+      ASSERT_EQ(p.mcs, q.mcs) << tag << " link " << i << " frame " << f;
+      ASSERT_EQ(p.goodput_mbps, q.goodput_mbps)
+          << tag << " link " << i << " frame " << f;
+      ASSERT_EQ(p.ack, q.ack) << tag << " link " << i << " frame " << f;
+      ASSERT_EQ(p.action, q.action) << tag << " link " << i << " frame " << f;
+    }
+  }
+  EXPECT_EQ(sim::degradation_digest(a), sim::degradation_digest(b)) << tag;
 }
 
 }  // namespace libra::testing

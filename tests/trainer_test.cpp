@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -30,12 +31,14 @@
 #include "rpc/client.h"
 #include "rpc/server.h"
 #include "sim/fleet.h"
+#include "sim/fleet_world.h"
+#include "sim/golden.h"
 #include "test_helpers.h"
 
 namespace libra {
 namespace {
 
-using libra::testing::make_record;
+using libra::testing::expect_fleets_identical;
 
 // ---------- synthetic row fixtures ----------
 
@@ -876,107 +879,35 @@ TEST(ModelPushLoopback, RemotePushFailureKeepsLocalSwap) {
 
 // ---------- fleet determinism ----------
 
-// A trained 3-class classifier over clearly separated synthetic cases
-// (same corpus as fleet_test/rpc_test).
-core::LibraClassifier make_fleet_classifier() {
-  trace::Dataset ds;
-  for (int i = 0; i < 40; ++i) {
-    trace::CaseRecord ba = make_record(4, -1, 4);
-    ba.init_best.snr_db = 20.0;
-    ba.new_at_init_pair.snr_db = 5.0 - 0.1 * (i % 5);
-    ba.new_at_init_pair.tof_ns = std::nullopt;
-    ds.records.push_back(ba);
-    trace::CaseRecord ra = make_record(8, 5, 5);
-    ra.init_best.snr_db = 26.0;
-    ra.init_best.tof_ns = 20.0;
-    ra.new_at_init_pair.snr_db = 19.0 - 0.1 * (i % 7);
-    ra.new_at_init_pair.tof_ns = 45.0;
-    ds.records.push_back(ra);
-    trace::CaseRecord na = make_record(6, 6, 6);
-    na.forced_na = true;
-    na.init_best.snr_db = 22.0;
-    na.new_at_init_pair.snr_db = 22.0 - 0.05 * (i % 3);
-    ds.na_records.push_back(na);
-  }
-  core::LibraClassifierConfig cfg;
-  cfg.forest.num_threads = 4;
-  cfg.compile_inference = true;
-  core::LibraClassifier c(cfg);
-  util::Rng rng(1);
-  c.train(ds, {}, rng);
-  return c;
-}
-
-const core::LibraClassifier& fleet_classifier() {
-  static const core::LibraClassifier clf = make_fleet_classifier();
-  return clf;
-}
-
-const phy::ErrorModel& shared_error_model() {
-  static const phy::McsTable table;
-  static const phy::ErrorModel em(&table);
-  return em;
-}
-
-// One station's whole world, self-contained so every grid point builds an
-// identical fresh copy (same pattern as fleet_test).
-struct Station {
-  env::Environment env;
-  array::PhasedArray ap;
-  array::PhasedArray client;
-  channel::Link link;
-  std::unique_ptr<core::LinkController> controller;
-  sim::SessionScript script;
-
-  Station(const array::Codebook* codebook, geom::Vec2 client_pos,
-          const core::LibraClassifier* clf)
-      : env(env::make_lobby()),
-        ap({2, 6}, 0.0, codebook),
-        client(client_pos, 180.0, codebook),
-        link(&env, &ap, &client) {
-    if (clf != nullptr) {
-      controller = std::make_unique<core::LibraController>(
-          &link, &shared_error_model(), clf);
-    } else {
-      controller = std::make_unique<core::RaFirstController>(
-          &link, &shared_error_model(), core::ControllerConfig{});
-    }
-  }
-};
-
-// A 4-station mixed fleet: three LiBRA stations (one blocked, one walking)
-// plus one RA-first baseline, with an early finisher.
-std::vector<std::unique_ptr<Station>> build_stations(
-    const array::Codebook* codebook) {
-  const core::LibraClassifier* clf = &fleet_classifier();
-  std::vector<std::unique_ptr<Station>> stations;
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{10, 6}, clf));
-  stations[0]->script.duration_ms = 1500.0;
-  stations[0]->script.rx_trajectory =
-      sim::Trajectory::stationary({10, 6}, 180.0);
-  stations[0]->script.blockage.push_back({400.0, 1100.0, {{6, 6}, 0.3, 35.0}});
-
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{12, 7}, clf));
-  stations[1]->script.duration_ms = 1500.0;
-  stations[1]->script.rx_trajectory =
+// A 4-station mixed fleet in the lobby: three LiBRA stations (one blocked,
+// one walking) plus one RA-first baseline, with an early finisher.
+sim::FleetWorld mixed_world(const array::Codebook* codebook) {
+  const core::LibraClassifier* clf = &sim::golden_classifier();
+  std::vector<sim::StationSpec> specs(4);
+  specs[0] = {{10, 6}, clf, {}};
+  specs[0].script.duration_ms = 1500.0;
+  specs[0].script.blockage.push_back({400.0, 1100.0, {{6, 6}, 0.3, 35.0}});
+  specs[1] = {{12, 7}, clf, {}};
+  specs[1].script.duration_ms = 1500.0;
+  specs[1].script.rx_trajectory =
       sim::Trajectory::walk({12, 7}, {18, 8}, 1500.0, geom::Vec2{2, 6});
-
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{9, 5}, nullptr));
-  stations[2]->script.duration_ms = 1500.0;
-  stations[2]->script.rx_trajectory =
-      sim::Trajectory::stationary({9, 5}, 180.0);
-  stations[2]->script.interference.push_back(
+  specs[2] = {{9, 5}, nullptr, {}};
+  specs[2].script.duration_ms = 1500.0;
+  specs[2].script.interference.push_back(
       {300.0, 1200.0, {{10, 1}, 50.0, 0.5}});
+  specs[3] = {{11, 6}, clf, {}};
+  specs[3].script.duration_ms = 600.0;  // early finisher
+  return sim::FleetWorld(env::make_lobby(), {2, 6}, codebook,
+                         &sim::golden_error_model(), std::move(specs));
+}
 
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{11, 6}, clf));
-  stations[3]->script.duration_ms = 600.0;  // early finisher
-  stations[3]->script.rx_trajectory =
-      sim::Trajectory::stationary({11, 6}, 180.0);
-  return stations;
+sim::FleetConfig fleet_cfg(int shards, int num_threads) {
+  sim::FleetConfig cfg;
+  cfg.seed = 77;
+  cfg.keep_frame_logs = true;
+  cfg.shards = shards;
+  cfg.num_threads = num_threads;
+  return cfg;
 }
 
 struct TrainedFleetRun {
@@ -991,22 +922,14 @@ TrainedFleetRun run_trained_fleet(const array::Codebook* codebook,
                                   const core::FleetTrainerConfig& trainer_cfg,
                                   int shards, int num_threads,
                                   bool serve_through_trainer) {
-  auto stations = build_stations(codebook);
-  std::vector<sim::FleetLink> members;
-  for (auto& s : stations) {
-    members.push_back({&s->env, &s->link, s->controller.get(), s->script});
-  }
+  const sim::FleetWorld world = mixed_world(codebook);
   core::FleetTrainer trainer(trainer_cfg);
-  trainer.seed_model(fleet_classifier().forest());
-  sim::FleetConfig cfg;
-  cfg.seed = 77;
-  cfg.keep_frame_logs = true;
-  cfg.shards = shards;
-  cfg.num_threads = num_threads;
+  trainer.seed_model(sim::golden_classifier().forest());
+  sim::FleetConfig cfg = fleet_cfg(shards, num_threads);
   cfg.trainer = &trainer;
   if (serve_through_trainer) cfg.backend = trainer.backend();
   TrainedFleetRun run;
-  run.result = sim::run_fleet(members, cfg);
+  run.result = sim::run_fleet(world.members(), cfg);
   run.rows_sampled = trainer.rows_sampled();
   run.rows_dropped = trainer.rows_dropped();
   run.generation = trainer.generation();
@@ -1016,50 +939,8 @@ TrainedFleetRun run_trained_fleet(const array::Codebook* codebook,
 
 sim::FleetResult run_plain_fleet(const array::Codebook* codebook, int shards,
                                  int num_threads) {
-  auto stations = build_stations(codebook);
-  std::vector<sim::FleetLink> members;
-  for (auto& s : stations) {
-    members.push_back({&s->env, &s->link, s->controller.get(), s->script});
-  }
-  sim::FleetConfig cfg;
-  cfg.seed = 77;
-  cfg.keep_frame_logs = true;
-  cfg.shards = shards;
-  cfg.num_threads = num_threads;
-  return sim::run_fleet(members, cfg);
-}
-
-// Full bit-identity check between two per-link result sets, frame logs
-// included (every float compared with ==).
-void expect_links_identical(const std::vector<sim::SessionResult>& a,
-                            const std::vector<sim::SessionResult>& b,
-                            const std::string& tag) {
-  ASSERT_EQ(a.size(), b.size()) << tag;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].frames, b[i].frames) << tag << " link " << i;
-    EXPECT_EQ(a[i].bytes_mb, b[i].bytes_mb) << tag << " link " << i;
-    EXPECT_EQ(a[i].avg_goodput_mbps, b[i].avg_goodput_mbps)
-        << tag << " link " << i;
-    EXPECT_EQ(a[i].adaptations_ba, b[i].adaptations_ba)
-        << tag << " link " << i;
-    EXPECT_EQ(a[i].adaptations_ra, b[i].adaptations_ra)
-        << tag << " link " << i;
-    EXPECT_EQ(a[i].outages, b[i].outages) << tag << " link " << i;
-    EXPECT_EQ(a[i].total_outage_ms, b[i].total_outage_ms)
-        << tag << " link " << i;
-    ASSERT_EQ(a[i].frame_log.size(), b[i].frame_log.size())
-        << tag << " link " << i;
-    for (std::size_t f = 0; f < a[i].frame_log.size(); ++f) {
-      const core::FrameReport& x = a[i].frame_log[f];
-      const core::FrameReport& y = b[i].frame_log[f];
-      ASSERT_EQ(x.t_ms, y.t_ms) << tag << " link " << i << " frame " << f;
-      ASSERT_EQ(x.mcs, y.mcs) << tag << " link " << i << " frame " << f;
-      ASSERT_EQ(x.goodput_mbps, y.goodput_mbps)
-          << tag << " link " << i << " frame " << f;
-      ASSERT_EQ(x.ack, y.ack) << tag << " link " << i << " frame " << f;
-      ASSERT_EQ(x.action, y.action) << tag << " link " << i << " frame " << f;
-    }
-  }
+  const sim::FleetWorld world = mixed_world(codebook);
+  return sim::run_fleet(world.members(), fleet_cfg(shards, num_threads));
 }
 
 // The headline replay contract: with a pinned swap schedule, the whole
@@ -1108,7 +989,7 @@ TEST(PinnedReplay, ShardThreadGridBitIdentical) {
     EXPECT_EQ(run.generation, baseline.generation) << tag;
     EXPECT_EQ(run.fits, baseline.fits) << tag;
     EXPECT_EQ(run.result.ticks, baseline.result.ticks) << tag;
-    expect_links_identical(baseline.result.links, run.result.links, tag);
+    expect_fleets_identical(baseline.result, run.result, tag);
   }
 }
 
@@ -1120,11 +1001,7 @@ TEST(PinnedReplay, NeverSwappingTrainerBitIdenticalToTrainerOff) {
   const array::Codebook codebook;
   const sim::FleetResult off = run_plain_fleet(&codebook, 3, 2);
 
-  auto stations = build_stations(&codebook);
-  std::vector<sim::FleetLink> members;
-  for (auto& s : stations) {
-    members.push_back({&s->env, &s->link, s->controller.get(), s->script});
-  }
+  const sim::FleetWorld world = mixed_world(&codebook);
   core::FleetTrainerConfig tcfg;
   tcfg.seed = 9;
   tcfg.sample_rate = 0.5;
@@ -1135,23 +1012,19 @@ TEST(PinnedReplay, NeverSwappingTrainerBitIdenticalToTrainerOff) {
   tcfg.drift.threshold = 1.5;      // > 1: the drift gate can never open
   tcfg.forest.num_trees = 15;
   core::FleetTrainer trainer(tcfg);
-  trainer.seed_model(fleet_classifier().forest());
+  trainer.seed_model(sim::golden_classifier().forest());
   trainer.start();
 
-  sim::FleetConfig cfg;
-  cfg.seed = 77;
-  cfg.keep_frame_logs = true;
-  cfg.shards = 3;
-  cfg.num_threads = 2;
+  sim::FleetConfig cfg = fleet_cfg(3, 2);
   cfg.trainer = &trainer;
   cfg.backend = trainer.backend();
-  const sim::FleetResult on = sim::run_fleet(members, cfg);
+  const sim::FleetResult on = sim::run_fleet(world.members(), cfg);
   trainer.stop();
 
   EXPECT_EQ(trainer.swaps_shipped(), 0u);
   EXPECT_EQ(trainer.generation(), 1u);  // still the seed
   EXPECT_GT(trainer.rows_sampled(), 0u);
-  expect_links_identical(off.links, on.links, "gates-never-fire");
+  expect_fleets_identical(off, on, "gates-never-fire");
 }
 
 }  // namespace

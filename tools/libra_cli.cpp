@@ -63,10 +63,10 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/classifier.h"
-#include "core/controller.h"
 #include "core/trainer.h"
 #include "env/registry.h"
 #include "ml/metrics.h"
@@ -81,6 +81,7 @@
 #include "rpc/server.h"
 #include "sim/event_sim.h"
 #include "sim/fleet.h"
+#include "sim/fleet_world.h"
 #include "sim/golden.h"
 #include "trace/io.h"
 #include "util/cli.h"
@@ -254,35 +255,19 @@ void run_fleet_stage(core::LibraClassifier& classifier, std::uint64_t seed,
   phy::McsTable table;
   phy::ErrorModel em(&table);
   const array::Codebook codebook;
-  std::vector<env::Environment> envs;
-  std::vector<array::PhasedArray> aps, clients;
-  std::vector<channel::Link> links;
-  std::vector<core::LibraController> controllers;
-  envs.reserve(kStations);
-  aps.reserve(kStations);
-  clients.reserve(kStations);
-  links.reserve(kStations);
-  controllers.reserve(kStations);
+  std::vector<sim::StationSpec> specs(kStations);
   for (int s = 0; s < kStations; ++s) {
-    envs.push_back(env::make_lobby());
-    aps.emplace_back(geom::Vec2{2.0, 6.0}, 0.0, &codebook);
-    clients.emplace_back(geom::Vec2{8.0 + s, 4.0 + (s % 3)}, 180.0,
-                         &codebook);
-    links.emplace_back(&envs[s], &aps[s], &clients[s]);
-    controllers.emplace_back(&links[s], &em, &classifier);
-  }
-  std::vector<sim::FleetLink> fleet(kStations);
-  for (int s = 0; s < kStations; ++s) {
-    fleet[s] = {&envs[s], &links[s], &controllers[s], {}};
-    fleet[s].script.duration_ms = 2000.0;
-    fleet[s].script.rx_trajectory = sim::Trajectory::stationary(
-        clients[s].position(), clients[s].boresight_deg());
+    specs[s].client = {8.0 + s, 4.0 + (s % 3)};
+    specs[s].classifier = &classifier;
+    specs[s].script.duration_ms = 2000.0;
   }
   // One walker and one blocked station so the fleet actually batches
   // inference rows (stationary links rarely trip the classifier).
-  fleet[1].script.rx_trajectory =
+  specs[1].script.rx_trajectory =
       sim::Trajectory::walk({9, 4}, {16, 7}, 2000.0, geom::Vec2{2, 6});
-  fleet[3].script.blockage.push_back({500, 1500, {{6, 6}, 0.3, 35.0}});
+  specs[3].script.blockage.push_back({500, 1500, {{6, 6}, 0.3, 35.0}});
+  const sim::FleetWorld world(env::make_lobby(), {2, 6}, &codebook, &em,
+                              std::move(specs));
 
   sim::FleetConfig cfg;
   cfg.seed = seed;
@@ -303,7 +288,7 @@ void run_fleet_stage(core::LibraClassifier& classifier, std::uint64_t seed,
                 "/series.json)\n", scrape_port);
     std::fflush(stdout);
   }
-  const sim::FleetResult result = sim::run_fleet(fleet, cfg);
+  const sim::FleetResult result = sim::run_fleet(world.members(), cfg);
   std::printf("fleet stage: %d stations, %lld ticks, %lld batched rows\n",
               kStations, static_cast<long long>(result.ticks),
               static_cast<long long>(result.batched_rows));
