@@ -130,8 +130,8 @@ void LinkController::start(util::Rng& rng) {
   double best_tput = -1.0;
   phy::McsIndex best = 0;
   for (phy::McsIndex m = top; m >= 0; --m) {
-    const phy::PhyObservation obs =
-        sampler_.observe(*link_, tx_beam_, rx_beam_, m, rng);
+    const phy::RateObservation obs =
+        sampler_.observe_rate(*link_, tx_beam_, rx_beam_, m, rng);
     if (is_working(obs.cdr, obs.throughput_mbps) &&
         obs.throughput_mbps > best_tput) {
       best_tput = obs.throughput_mbps;
@@ -180,16 +180,17 @@ DecisionRequest LinkController::observe(util::Rng& rng) {
   const phy::McsIndex frame_mcs = mcs_;
   // Window-averaged observation (what the classifier and the settle logic
   // consume).
-  request.obs = sampler_.observe(*link_, tx_beam_, rx_beam_, frame_mcs, rng);
+  phy::ChannelSnr channel_snr;
+  request.obs = sampler_.observe(*link_, tx_beam_, rx_beam_, frame_mcs, rng,
+                                 &channel_snr);
   const phy::PhyObservation& obs = request.obs;
 
   // This specific frame either collides with an interference burst or not;
   // its ACK and goodput follow the instantaneous SINR, not the average.
   const double duty = link_->interferer_duty();
   const bool jammed = duty > 0.0 && rng.bernoulli(duty);
-  const double frame_snr = jammed
-                               ? link_->snr_db(tx_beam_, rx_beam_)
-                               : link_->snr_clean_db(tx_beam_, rx_beam_);
+  const double frame_snr =
+      jammed ? channel_snr.jammed_db : channel_snr.clean_db;
 
   report.mcs = frame_mcs;
   mcs_occupancy_counter(frame_mcs).inc();
@@ -338,7 +339,7 @@ void LinkController::apply(trace::Action verdict, DecisionRequest& request,
       view.cdr[cur] = request.obs.cdr;
       view.throughput_mbps[cur] = request.obs.throughput_mbps;
       if (mcs_ < error_model_->table().max_mcs()) {
-        const phy::PhyObservation up = sampler_.observe(
+        const phy::RateObservation up = sampler_.observe_rate(
             *link_, tx_beam_, rx_beam_, mcs_ + 1, rng);
         view.cdr[cur + 1] = up.cdr;
         view.throughput_mbps[cur + 1] = up.throughput_mbps;

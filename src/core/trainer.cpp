@@ -309,8 +309,9 @@ bool FleetTrainer::wants(std::uint32_t link, std::uint64_t seq) const {
   if (cfg_.sample_rate <= 0.0) return false;
   // Stateless hash of (seed, link, decision sequence): the same decision
   // samples identically whatever shard or thread asks.
-  const std::uint64_t h = mix64(
-      mix64(cfg_.seed ^ (0x517cc1b727220a95ULL * (std::uint64_t{link} + 1))) ^
+  const std::uint64_t h = util::splitmix64(
+      util::splitmix64(cfg_.seed ^
+                       (0x517cc1b727220a95ULL * (std::uint64_t{link} + 1))) ^
       seq);
   return static_cast<double>(h >> 11) * 0x1.0p-53 < cfg_.sample_rate;
 }

@@ -76,7 +76,6 @@ struct Shard {
   std::size_t begin = 0;
   std::size_t end = 0;
   bool finished = false;  // every link done -- skip all later ticks
-  bool stepped = false;   // did any link transmit this tick
   std::vector<core::DecisionRequest> requests;  // slot-indexed, flat
   std::vector<unsigned char> has_request;
   std::vector<trace::Action> verdicts;
@@ -235,9 +234,12 @@ FleetResult run_fleet(std::span<const FleetLink> links,
   // and stream, so per-shard parallel start is bit-identical to the
   // serial loop.
   util::parallel_for(pool, shards.size(), [&](std::size_t s) {
+    bool live = false;
     for (std::size_t i = shards[s].begin; i < shards[s].end; ++i) {
       drivers[i].start(rngs[i]);
+      if (!drivers[i].done()) live = true;
     }
+    shards[s].finished = !live;
   });
 
   FleetResult result;
@@ -250,7 +252,6 @@ FleetResult run_fleet(std::span<const FleetLink> links,
   // and nothing below synchronizes until the tick boundary.
   auto tick_shard = [&](std::size_t s, std::int64_t tick) {
     Shard& shard = shards[s];
-    shard.stepped = false;
 
     // Gather: every active link transmits one frame; rows needing
     // inference are appended to their classifier's contiguous arena.
@@ -344,10 +345,12 @@ FleetResult run_fleet(std::span<const FleetLink> links,
     {
       OBS_SPAN("fleet.scatter", &metrics.scatter_us);
       std::size_t applied = 0;
+      bool live = false;
       for (std::size_t slot = 0; slot < shard.requests.size(); ++slot) {
         if (!shard.has_request[slot]) continue;
         const std::size_t i = shard.begin + slot;
         drivers[i].apply(shard.verdicts[slot], shard.requests[slot], rngs[i]);
+        if (!drivers[i].done()) live = true;
         // Sample this link's inference decisions for the trainer's row
         // stream. wants() is a pure hash of (trainer seed, link, per-link
         // decision sequence) -- no Rng stream is touched, so the sampling
@@ -362,41 +365,37 @@ FleetResult run_fleet(std::span<const FleetLink> links,
         }
         ++applied;
       }
-      if (applied > 0) {
-        shard.stepped = true;
-        shard.link_frames += static_cast<std::int64_t>(applied);
-        metrics.link_frames.inc(applied);
-      }
+      shard.link_frames += static_cast<std::int64_t>(applied);
+      metrics.link_frames.inc(applied);
+      // The tick in which a shard's last link finishes is its last: no
+      // empty tick runs (or records phase time) after it.
+      shard.finished = !live;
     }
-    if (!shard.stepped) shard.finished = true;
   };
 
-  bool any_active = !shards.empty();
-  std::int64_t tick = 0;
-  while (any_active) {
+  // An unfinished shard has a link that transmits this tick, so every
+  // iteration below steps at least one link.
+  const auto unfinished = [&] {
+    return std::any_of(shards.begin(), shards.end(),
+                       [](const Shard& shard) { return !shard.finished; });
+  };
+  for (std::int64_t tick = 0; unfinished(); ++tick) {
     const obs::StopWatch tick_watch;
     OBS_SPAN("fleet.tick");
     util::parallel_for(pool, shards.size(), [&](std::size_t s) {
       if (!shards[s].finished) tick_shard(s, tick);
     });
-    any_active = false;
-    for (const Shard& shard : shards) {
-      if (shard.stepped) any_active = true;
+    ++result.ticks;
+    metrics.ticks.inc();
+    const double tick_us = tick_watch.elapsed_us();
+    result.tick_latency_us.add(tick_us);
+    metrics.tick_latency_us.observe(tick_us);
+    // Pinned-schedule trainer mode: drain + scheduled swaps run here, in
+    // the serial region after the shard barrier, so a swap lands at a
+    // deterministic tick boundary whatever the (shards, threads) grid.
+    if (cfg.trainer != nullptr && cfg.trainer->pinned_schedule()) {
+      cfg.trainer->on_tick(tick);
     }
-    if (any_active) {
-      ++result.ticks;
-      metrics.ticks.inc();
-      const double tick_us = tick_watch.elapsed_us();
-      result.tick_latency_us.add(tick_us);
-      metrics.tick_latency_us.observe(tick_us);
-      // Pinned-schedule trainer mode: drain + scheduled swaps run here, in
-      // the serial region after the shard barrier, so a swap lands at a
-      // deterministic tick boundary whatever the (shards, threads) grid.
-      if (cfg.trainer != nullptr && cfg.trainer->pinned_schedule()) {
-        cfg.trainer->on_tick(tick);
-      }
-    }
-    ++tick;
   }
 
   for (const Shard& shard : shards) {

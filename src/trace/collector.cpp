@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/span.h"
 #include "phy/pdp.h"
@@ -83,19 +84,22 @@ PairTrace TraceCollector::measure_pair(const channel::Link& link,
   const int n_mcs = error_model_->table().size();
   t.throughput_mbps.resize(static_cast<std::size_t>(n_mcs));
   t.cdr.resize(static_cast<std::size_t>(n_mcs));
-  for (phy::McsIndex m = 0; m < n_mcs; ++m) {
-    const phy::PhyObservation obs =
-        trace_sampler_.observe(link, tx_beam, rx_beam, m, rng);
-    t.throughput_mbps[static_cast<std::size_t>(m)] = obs.throughput_mbps;
-    t.cdr[static_cast<std::size_t>(m)] = obs.cdr;
-    if (m == 0) {
-      // SNR/noise/PDP/ToF/CSI are MCS-independent; keep the first.
-      t.snr_db = obs.snr_db;
-      t.noise_dbm = obs.noise_dbm;
-      t.tof_ns = obs.tof_ns;
-      t.pdp = obs.pdp;
-      t.csi = obs.csi;
-    }
+  // SNR/noise/PDP/ToF/CSI are MCS-independent: MCS 0's full observation
+  // supplies them, and the higher MCSs are rate-only probes.
+  phy::PhyObservation obs =
+      trace_sampler_.observe(link, tx_beam, rx_beam, 0, rng);
+  t.snr_db = obs.snr_db;
+  t.noise_dbm = obs.noise_dbm;
+  t.tof_ns = obs.tof_ns;
+  t.pdp = std::move(obs.pdp);
+  t.csi = std::move(obs.csi);
+  t.throughput_mbps[0] = obs.throughput_mbps;
+  t.cdr[0] = obs.cdr;
+  for (phy::McsIndex m = 1; m < n_mcs; ++m) {
+    const phy::RateObservation rate =
+        trace_sampler_.observe_rate(link, tx_beam, rx_beam, m, rng);
+    t.throughput_mbps[static_cast<std::size_t>(m)] = rate.throughput_mbps;
+    t.cdr[static_cast<std::size_t>(m)] = rate.cdr;
   }
   return t;
 }

@@ -3,6 +3,7 @@
 // bit for bit, for any forest thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -255,6 +256,44 @@ TEST(Fleet, ResultCarriesMetricsSnapshot) {
   const auto* rows = result.metrics.find_counter("fleet.batched_rows");
   ASSERT_NE(rows, nullptr);
   EXPECT_GE(rows->value, static_cast<std::uint64_t>(result.batched_rows));
+}
+
+// Each phase histogram records one observation per shard-tick that
+// stepped: a shard whose last link finished runs no further (empty) tick.
+// A shard steps in every tick until its longest-running link is done, so
+// its stepped ticks are the largest frame count among its links.
+TEST(Fleet, PhaseHistogramsCountSteppedShardTicks) {
+  for (const int shards : {1, 2, 3, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const obs::MetricsSnapshot before = obs::Registry::global().snapshot();
+    const sim::FleetResult result = run_mixed_fleet(grid_cfg(77, shards, 1));
+    const obs::MetricsSnapshot delta =
+        obs::Registry::global().snapshot().delta_since(before);
+    ASSERT_EQ(result.shards_used, shards);
+
+    // The contiguous split run_fleet makes: the first links % shards shards
+    // take one extra link.
+    const std::size_t n = result.links.size();
+    const std::size_t per_shard = n / static_cast<std::size_t>(shards);
+    const std::size_t extra = n % static_cast<std::size_t>(shards);
+    std::uint64_t stepped = 0;
+    std::size_t begin = 0;
+    for (std::size_t s = 0; s < static_cast<std::size_t>(shards); ++s) {
+      const std::size_t end = begin + per_shard + (s < extra ? 1 : 0);
+      std::int64_t longest = 0;
+      for (std::size_t i = begin; i < end; ++i) {
+        longest = std::max(longest, result.links[i].frames);
+      }
+      stepped += static_cast<std::uint64_t>(longest);
+      begin = end;
+    }
+    for (const char* name :
+         {"fleet.gather_us", "fleet.decide_us", "fleet.scatter_us"}) {
+      const auto* hist = delta.find_histogram(name);
+      ASSERT_NE(hist, nullptr) << name;
+      EXPECT_EQ(hist->data.count, stepped) << name;
+    }
+  }
 }
 
 #endif  // LIBRA_OBS_ENABLED

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "channel/link.h"
 #include "env/registry.h"
@@ -291,6 +295,151 @@ TEST_F(SamplerFixture, SweepSnrAveragesDuty) {
   const double jam = link.snr_db(12, 12);
   const double measured = sampler.measure_snr_db(link, 12, 12, rng);
   EXPECT_NEAR(measured, 0.5 * clean + 0.5 * jam, 2.0);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST_F(SamplerFixture, ObservationMakesFourLinkStreamDraws) {
+  // The draw contract: snr gaussian, noise gaussian, one raw tap key, cdr
+  // gaussian -- however many PDP taps the observation synthesizes.
+  util::Rng observed(9);
+  sampler.observe(link, 12, 12, 4, observed);
+  util::Rng replay(9);
+  const SamplerConfig& cfg = sampler.config();
+  replay.gaussian(0.0, cfg.snr_jitter_db);
+  replay.gaussian(0.0, cfg.noise_jitter_db);
+  replay.raw();
+  replay.gaussian(0.0, cfg.cdr_jitter);
+  EXPECT_EQ(observed.raw(), replay.raw());
+}
+
+TEST(Sampler, RateProbeMatchesFullObservationInRegistryRooms) {
+  // Every registry room, each with the 8 combinations of {blocker on the
+  // LOS, bursty interferer, fade}, every MCS. The rate-only probe must give
+  // the full observation's scalars bit for bit and leave the link stream in
+  // the same state; the full observation's channel SNRs must be the link's
+  // own queries bit for bit (the frame SINR reads them).
+  const McsTable table;
+  const ErrorModel em(&table);
+  const PhySampler sampler(&em);
+  const array::Codebook codebook;
+  std::vector<env::Environment> rooms = env::training_environments();
+  for (env::Environment& e : env::testing_environments()) {
+    rooms.push_back(std::move(e));
+  }
+  util::Rng poses(21);
+  for (env::Environment& room : rooms) {
+    const env::Environment::BoundingBox bb = room.bounding_box();
+    const auto random_point = [&] {
+      return room.clamp_inside({poses.uniform(bb.min.x, bb.max.x),
+                                poses.uniform(bb.min.y, bb.max.y)});
+    };
+    const geom::Vec2 tx_pos = random_point();
+    const geom::Vec2 rx_pos = random_point();
+    array::PhasedArray tx(tx_pos, poses.uniform(-180.0, 180.0), &codebook);
+    array::PhasedArray rx(rx_pos, poses.uniform(-180.0, 180.0), &codebook);
+    for (int combo = 0; combo < 8; ++combo) {
+      const bool blocked = (combo & 1) != 0;
+      const bool jammed = (combo & 2) != 0;
+      const bool faded = (combo & 4) != 0;
+      SCOPED_TRACE(room.name() + " blocker " + std::to_string(blocked) +
+                   " interferer " + std::to_string(jammed) + " fade " +
+                   std::to_string(faded));
+      room.clear_blockers();
+      if (blocked) room.add_blocker({(tx_pos + rx_pos) * 0.5, 0.3, 25.0});
+      channel::Link link(&room, &tx, &rx);
+      if (jammed) {
+        link.set_interferer(
+            channel::Interferer{random_point(), poses.uniform(10.0, 40.0),
+                                poses.uniform(0.2, 0.8)});
+      }
+      if (faded) link.set_fade_db(poses.gaussian(0.0, 3.0));
+      // A random beam pair and the strongest one, so that the CDRs are not
+      // all clamped to 0.
+      array::BeamId best_tx = 0;
+      array::BeamId best_rx = 0;
+      for (array::BeamId t = 0; t < codebook.size(); ++t) {
+        for (array::BeamId r = 0; r < codebook.size(); ++r) {
+          if (link.snr_db(t, r) > link.snr_db(best_tx, best_rx)) {
+            best_tx = t;
+            best_rx = r;
+          }
+        }
+      }
+      const array::BeamId random_tx = poses.uniform_int(0, codebook.size() - 1);
+      const array::BeamId random_rx = poses.uniform_int(0, codebook.size() - 1);
+      for (int k = 0; k < 2 * table.size(); ++k) {
+        const McsIndex m = k % table.size();
+        const array::BeamId tb = k < table.size() ? random_tx : best_tx;
+        const array::BeamId rb = k < table.size() ? random_rx : best_rx;
+        SCOPED_TRACE("pair " + std::to_string(tb) + "," + std::to_string(rb) +
+                     " mcs " + std::to_string(m));
+        const std::uint64_t seed = poses.raw();
+        util::Rng full_rng(seed);
+        util::Rng rate_rng(seed);
+        ChannelSnr snr;
+        const PhyObservation full =
+            sampler.observe(link, tb, rb, m, full_rng, &snr);
+        const RateObservation rate =
+            sampler.observe_rate(link, tb, rb, m, rate_rng);
+        EXPECT_EQ(bits(rate.snr_db), bits(full.snr_db));
+        EXPECT_EQ(bits(rate.noise_dbm), bits(full.noise_dbm));
+        EXPECT_EQ(bits(rate.cdr), bits(full.cdr));
+        EXPECT_EQ(bits(rate.throughput_mbps), bits(full.throughput_mbps));
+        EXPECT_EQ(rate.mcs, full.mcs);
+        EXPECT_EQ(full_rng.raw(), rate_rng.raw());
+        EXPECT_EQ(bits(snr.clean_db), bits(link.snr_clean_db(tb, rb)));
+        EXPECT_EQ(bits(snr.jammed_db), bits(link.snr_db(tb, rb)));
+      }
+    }
+    room.clear_blockers();
+  }
+}
+
+// ---------- keyed normal stream ----------
+
+TEST(KeyedNormals, FirstValuesArePinned) {
+  // The stream is splitmix64 + Box-Muller written out in util/rng.h, so its
+  // values are a function of the key alone, not of the host's <random>.
+  // DOUBLE_EQ (4 ulp) leaves room only for libm's last-bit rounding.
+  const double want[16] = {
+      1.1186819870407609,   -1.9248120524117758,  -1.2042172457172178,
+      -1.3841997366722889,  2.8488006165259541,   1.5895049598760111,
+      -0.7856693554179508,  -0.18033525916451557, 0.13264656709901601,
+      0.18354802478547597,  -0.5707736395062124,  0.33394986986009301,
+      -0.89931248127675412, -0.59975166890664267, 0.96548269229021633,
+      -1.4510226174196619};
+  util::KeyedNormals stream(0x0123456789abcdefULL);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_DOUBLE_EQ(stream.next(), want[i]) << "draw " << i;
+  }
+}
+
+TEST(KeyedNormals, StandardNormalMoments) {
+  constexpr int kDraws = 100000;
+  util::KeyedNormals stream(0x5eed5eed5eed5eedULL);
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int i = 0; i < kDraws; ++i) {
+    const double z = stream.next();
+    ASSERT_TRUE(std::isfinite(z)) << "draw " << i;
+    sum += z;
+    sum_sq += z * z;
+  }
+  const double mean = sum / kDraws;
+  const double variance = sum_sq / kDraws - mean * mean;
+  // Standard errors at 10^5 draws: 0.0032 for the mean, 0.0045 for the
+  // variance; the bounds are ~4 of them.
+  EXPECT_NEAR(mean, 0.0, 0.013);
+  EXPECT_NEAR(variance, 1.0, 0.018);
+}
+
+TEST(KeyedNormals, DistinctKeysGiveDistinctStreams) {
+  util::KeyedNormals a(41);
+  util::KeyedNormals b(42);
+  int equal = 0;
+  for (int i = 0; i < 64; ++i) equal += a.next() == b.next() ? 1 : 0;
+  EXPECT_EQ(equal, 0);
 }
 
 TEST(Sampler, NullErrorModelThrows) {
