@@ -43,7 +43,6 @@
 #include "sim/fleet_world.h"
 #include "trace/dataset.h"
 #include "util/fft.h"
-#include "util/simd.h"
 #include "util/stats.h"
 
 using namespace libra;
@@ -759,6 +758,8 @@ void BM_Sls80211ad(benchmark::State& state) {
 }
 BENCHMARK(BM_Sls80211ad)->Unit(benchmark::kMicrosecond);
 
+// 256-point PDP -> CSI magnitude spectrum, the util/fft.cpp hot path of
+// extract_features' "FFT PDP Similarity".
 void BM_Fft256(benchmark::State& state) {
   std::vector<double> pdp(256, 1e-9);
   pdp[10] = 1e-3;
@@ -769,38 +770,9 @@ void BM_Fft256(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft256);
 
-// The vectorized feature-extraction kernels against their forced-scalar
-// references. Arg = force_scalar; every variant labels the dispatched ISA
-// and asserts bit-parity against the scalar path (the contract in
-// util/simd.h -- these kernels may only dispatch if they cannot change a
-// single bit).
-
-// 256-point PDP -> CSI magnitude spectrum, the util/fft.cpp hot path of
-// extract_features' "FFT PDP Similarity".
-void BM_SimdFft(benchmark::State& state) {
-  std::optional<util::simd::ScopedForceScalar> guard;
-  if (state.range(0) != 0) guard.emplace();
-  state.SetLabel(util::simd::active_isa_name());
-  std::vector<double> pdp(256, 1e-9);
-  pdp[10] = 1e-3;
-  pdp[40] = 1e-5;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(util::magnitude_spectrum(pdp));
-  }
-  const std::vector<double> dispatched = util::magnitude_spectrum(pdp);
-  state.counters["bit_identical"] = [&] {
-    util::simd::ScopedForceScalar scalar;
-    return dispatched == util::magnitude_spectrum(pdp);
-  }();
-}
-BENCHMARK(BM_SimdFft)->Arg(0)->Arg(1);
-
 // Pearson correlation over two aligned 256-tap PDPs -- the similarity
 // kernel extract_features runs per frame for both PDP and CSI similarity.
 void BM_PearsonSimilarity(benchmark::State& state) {
-  std::optional<util::simd::ScopedForceScalar> guard;
-  if (state.range(0) != 0) guard.emplace();
-  state.SetLabel(util::simd::active_isa_name());
   std::vector<double> a(256), b(256);
   for (std::size_t i = 0; i < a.size(); ++i) {
     a[i] = std::sin(0.11 * static_cast<double>(i));
@@ -810,51 +782,8 @@ void BM_PearsonSimilarity(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(util::pearson(a, b));
   }
-  const double dispatched = util::pearson(a, b);
-  state.counters["bit_identical"] = [&] {
-    util::simd::ScopedForceScalar scalar;
-    return dispatched == util::pearson(a, b);
-  }();
 }
-BENCHMARK(BM_PearsonSimilarity)->Arg(0)->Arg(1);
-
-// Batched CDF queries: 1024 lookups (P(X <= x)) plus 1024 inverse-CDF
-// interpolations against a 4096-sample empirical CDF per iteration -- the
-// per-metric CDF math of the analysis/eval figures in one shot.
-void BM_CdfBatch(benchmark::State& state) {
-  std::optional<util::simd::ScopedForceScalar> guard;
-  if (state.range(0) != 0) guard.emplace();
-  state.SetLabel(util::simd::active_isa_name());
-  std::vector<double> samples(4096);
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    samples[i] = std::sin(0.37 * static_cast<double>(i)) * 40.0 - 60.0;
-  }
-  const util::EmpiricalCdf cdf(std::move(samples));
-  std::vector<double> xs(1024), qs(1024);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = -100.0 + 0.08 * static_cast<double>(i);
-    qs[i] = static_cast<double>(i) / 1023.0;
-  }
-  std::vector<double> probs(xs.size()), values(qs.size());
-  for (auto _ : state) {
-    cdf.at_many(xs, probs);
-    cdf.quantile_many(qs, values);
-    benchmark::DoNotOptimize(probs.data());
-    benchmark::DoNotOptimize(values.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(xs.size() + qs.size()));
-  cdf.at_many(xs, probs);
-  cdf.quantile_many(qs, values);
-  state.counters["bit_identical"] = [&] {
-    util::simd::ScopedForceScalar scalar;
-    std::vector<double> p2(xs.size()), v2(qs.size());
-    cdf.at_many(xs, p2);
-    cdf.quantile_many(qs, v2);
-    return probs == p2 && values == v2;
-  }();
-}
-BENCHMARK(BM_CdfBatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_PearsonSimilarity);
 
 void BM_SimulatedEvent(benchmark::State& state) {
   auto& f = Fixture::get();

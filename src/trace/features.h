@@ -14,10 +14,11 @@
 //                        initial pair, at the current state
 //   Initial MCS          the best MCS before the impairment
 //
-// The similarity metrics ride on runtime-dispatched vector kernels
-// (util::pearson and the FFT behind magnitude_spectrum — see util/simd.h);
-// every kernel is bit-identical to its scalar loop, so extracted features
-// and everything downstream (forest votes, fleet digests) are ISA-invariant.
+// The similarity metrics ride on util::pearson and the FFT behind
+// magnitude_spectrum: one scalar path each, whose summation schedule and
+// twiddle recurrence are pinned by the golden digest (sim/golden.h), so
+// extracted features and everything downstream (forest votes, fleet
+// digests) are the same on every host.
 #pragma once
 
 #include <algorithm>

@@ -1,11 +1,11 @@
 // Radix-2 FFT used to convert power delay profiles (time domain) into a CSI
 // estimate (frequency domain), mirroring Sec. 6.1's "FFT PDP Similarity".
 //
-// The butterfly loops are runtime-dispatched (util/simd.h): an AVX2 kernel
-// handles the wide stages and is bit-identical to the scalar loop — same
-// per-stage twiddle tables, same operation order — so feature extraction
-// cannot drift with the host ISA (LIBRA_FORCE_SCALAR=1 selects the scalar
-// loop for differential runs).
+// One scalar path on every host. Each thread builds the per-stage twiddle
+// tables of an (n, direction) once and reuses them; the tables are filled
+// by the same sequential w *= wlen recurrence a per-call build runs, so
+// caching changes no bit of the output. That recurrence and the butterfly
+// formula are part of the golden-digest contract (sim/golden.h).
 #pragma once
 
 #include <complex>

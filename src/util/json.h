@@ -2,13 +2,17 @@
 // outputs: trace-event exports, metrics snapshots, and the aggregator's
 // /series.json feed (`libra top` polls it through this). Strict enough to
 // catch malformed output -- throws std::runtime_error with an offset on any
-// syntax error -- but not a general-purpose library: \uXXXX escapes decode
-// only the code-point value as a single char for ASCII, which is all our
-// exporters emit. Grew up in tests/json_mini.h; promoted here when the CLI
-// needed it.
+// syntax error -- but not a general-purpose library: \uXXXX escapes (exactly
+// four hex digits) decode only the code-point value as a single char for
+// ASCII, which is all our exporters emit. `libra top` feeds it remote
+// bodies, so nesting is capped at kJsonMaxDepth: a deeper document is a
+// parse error, not a stack overflow. Grew up in tests/json_mini.h;
+// promoted here when the CLI needed it.
 #pragma once
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstddef>
 #include <map>
 #include <stdexcept>
@@ -17,6 +21,10 @@
 #include <vector>
 
 namespace libra::util {
+
+// Deepest array/object nesting parse_json accepts. Our exporters nest a
+// handful of levels.
+inline constexpr std::size_t kJsonMaxDepth = 256;
 
 struct JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -81,8 +89,15 @@ class JsonParser {
   JsonValue value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kJsonMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+      }
+      ++depth_;
+      JsonValue v = c == '{' ? object() : array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return string();
     if (c == 't' || c == 'f') return boolean();
     if (c == 'n') {
@@ -159,9 +174,15 @@ class JsonParser {
           case 'r': v.str += '\r'; break;
           case 't': v.str += '\t'; break;
           case 'u': {
-            if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-            const std::string hex(text_.substr(pos_, 4));
-            v.str += static_cast<char>(std::stoi(hex, nullptr, 16));
+            // Exactly four hex digits: from_chars takes no sign, space or
+            // prefix, so a short or non-hex run stops before first + 4.
+            const char* first = text_.data() + pos_;
+            const char* last =
+                first + std::min<std::size_t>(4, text_.size() - pos_);
+            unsigned code = 0;
+            const auto [end, ec] = std::from_chars(first, last, code, 16);
+            if (ec != std::errc{} || end != first + 4) fail("bad \\u escape");
+            v.str += static_cast<char>(code);
             pos_ += 4;
             break;
           }
@@ -208,6 +229,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace detail

@@ -42,17 +42,6 @@ class EmpiricalCdf {
   // Inverse CDF; q in [0,1]. Linear interpolation between order statistics.
   double quantile(double q) const;
 
-  // Batched queries for the per-metric CDF math on the serving path: one
-  // lane-parallel branchless binary search per query (fixed trip count, so
-  // the AVX2 path runs the same comparisons and the results are
-  // bit-identical to the scalar loop on every ISA). at_many counts NaN
-  // queries as 0 (no sample is <= NaN); at() keeps upper_bound's historic
-  // NaN-goes-last answer, the one place the two differ. out must match
-  // the query span's length.
-  void at_many(std::span<const double> xs, std::span<double> out) const;
-  // Elementwise quantile(); same interpolation formula, bit-identical
-  // across ISAs. Throws like quantile() when the CDF is empty.
-  void quantile_many(std::span<const double> qs, std::span<double> out) const;
   std::size_t size() const { return sorted_.size(); }
   const std::vector<double>& sorted() const { return sorted_; }
 
@@ -76,11 +65,10 @@ double median(std::span<const double> xs);
 double percentile(std::span<const double> xs, double p);  // p in [0,100]
 
 // Pearson correlation coefficient; returns 0 when either side is constant.
-// Used for PDP similarity and CSI similarity (Sec. 6.1) — a per-frame
-// serving cost, so the sums run 4 lanes wide (lane j accumulates indices
-// congruent j mod 4, combined (s0+s2)+(s1+s3), tail appended after the
-// combine). The scalar path uses the identical schedule, so the AVX2 path
-// is bit-identical to it.
+// Used for PDP similarity and CSI similarity (Sec. 6.1). The sums run on a
+// fixed 4-lane schedule (lane j accumulates indices congruent j mod 4,
+// combined (s0+s2)+(s1+s3), tail appended after the combine); that
+// schedule is part of the golden-digest contract (sim/golden.h).
 double pearson(std::span<const double> a, std::span<const double> b);
 
 }  // namespace libra::util

@@ -2,15 +2,19 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numbers>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/cli.h"
 #include "util/fft.h"
+#include "util/json.h"
 #include "util/rng.h"
-#include "util/simd.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -497,61 +501,159 @@ TEST(Fft, MagnitudeSpectrumEmptyInput) {
   EXPECT_TRUE(magnitude_spectrum({}).empty());
 }
 
-// ---------- SIMD dispatch parity ----------
-// The vectorized stats/FFT kernels promise bit-identical results to their
-// scalar loops, so fleet digests cannot move with the dispatched ISA.
-// These run the same inputs through the auto dispatch and the forced-scalar
-// override and require exact equality.
+// ---------- Scalar kernel bit pins ----------
+// Literal results of the numeric kernels, so a change to pearson's 4-lane
+// summation schedule or to the FFT's twiddle recurrence fails here, not
+// only in the fleet golden digest.
 
-TEST(SimdParity, CdfBatchQueriesBitIdenticalToScalar) {
-  Rng rng(7);
-  std::vector<double> samples(257);  // odd size: exercises remainder lanes
-  for (auto& s : samples) s = rng.gaussian(0, 5);
-  const EmpiricalCdf cdf(samples);
-  std::vector<double> xs(131), qs(131);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = rng.gaussian(0, 8);
-    qs[i] = rng.uniform(-0.2, 1.2);  // quantile_many clamps out-of-range
-  }
-  xs[3] = std::numeric_limits<double>::quiet_NaN();  // counted below min
-  std::vector<double> at_auto(xs.size()), q_auto(qs.size());
-  cdf.at_many(xs, at_auto);
-  cdf.quantile_many(qs, q_auto);
-  // Batched queries agree with the one-at-a-time reference API.
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (std::isnan(xs[i])) continue;
-    EXPECT_EQ(at_auto[i], cdf.at(xs[i])) << "i=" << i;
-  }
-  simd::ScopedForceScalar scalar;
-  std::vector<double> at_ref(xs.size()), q_ref(qs.size());
-  cdf.at_many(xs, at_ref);
-  cdf.quantile_many(qs, q_ref);
-  EXPECT_EQ(at_auto, at_ref);
-  EXPECT_EQ(q_auto, q_ref);
-}
-
-TEST(SimdParity, PearsonBitIdenticalToScalar) {
-  Rng rng(8);
-  for (const int n : {1, 3, 4, 7, 64, 129}) {
-    std::vector<double> a(static_cast<std::size_t>(n));
-    std::vector<double> b(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      a[static_cast<std::size_t>(i)] = rng.gaussian(0, 3);
-      b[static_cast<std::size_t>(i)] = rng.gaussian(1, 2);
+// FNV-1a over the IEEE bit patterns: equal only when every bit is equal.
+std::uint64_t bits_digest(std::span<const double> xs) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const double x : xs) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffU;
+      h *= 1099511628211ULL;
     }
-    const double auto_r = pearson(a, b);
-    simd::ScopedForceScalar scalar;
-    EXPECT_EQ(auto_r, pearson(a, b)) << "n=" << n;
+  }
+  return h;
+}
+
+TEST(Pearson, ScheduleBitsPinned) {
+  // n covers every remainder-lane count (0..3) and multi-block sums.
+  struct Pin {
+    int n;
+    double r;
+  };
+  const Pin pins[] = {{1, 0.0},
+                      {3, -0x1.531f482ee864dp-3},
+                      {4, -0x1.dc2e400c970f6p-1},
+                      {7, 0x1.3baf28970610dp-2},
+                      {64, -0x1.cbfc5aa1e4187p-6},
+                      {129, 0x1.9a372b58dd406p-6}};
+  Rng rng(8);
+  for (const Pin& pin : pins) {
+    std::vector<double> a(static_cast<std::size_t>(pin.n));
+    std::vector<double> b(static_cast<std::size_t>(pin.n));
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      a[i] = rng.gaussian(0, 3);
+      b[i] = rng.gaussian(1, 2);
+    }
+    EXPECT_EQ(pearson(a, b), pin.r) << "n=" << pin.n;
   }
 }
 
-TEST(SimdParity, MagnitudeSpectrumBitIdenticalToScalar) {
+TEST(Fft, MagnitudeSpectrumBitsPinned) {
   Rng rng(9);
   std::vector<double> sig(300);  // pads to 512
   for (auto& s : sig) s = rng.uniform(-1, 1);
-  const std::vector<double> auto_mag = magnitude_spectrum(sig);
-  simd::ScopedForceScalar scalar;
-  EXPECT_EQ(auto_mag, magnitude_spectrum(sig));
+  const std::vector<double> mag = magnitude_spectrum(sig);
+  ASSERT_EQ(mag.size(), 256u);
+  EXPECT_EQ(mag[0], 0x1.b830e21ab2284p+1);
+  EXPECT_EQ(mag[1], 0x1.135b571727583p+4);
+  EXPECT_EQ(mag[127], 0x1.51f2c9d633dcfp+3);
+  EXPECT_EQ(mag[255], 0x1.954e99c6a55e6p+3);
+  EXPECT_EQ(bits_digest(mag), 0x47e5e196e16e63a1ULL);
+}
+
+// ---------- FFT twiddle cache ----------
+// util::fft reuses per-thread twiddle tables. This reference builds each
+// stage's twiddles per call with the same w *= wlen recurrence and the
+// same butterfly formula, so the two must agree bit for bit.
+void reference_fft(std::vector<std::complex<double>>& data, bool inverse) {
+  const std::size_t n = data.size();
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(data[i], data[j]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle =
+        2.0 * std::numbers::pi / static_cast<double>(len) * (inverse ? 1 : -1);
+    const std::complex<double> wlen(std::cos(angle), std::sin(angle));
+    const std::size_t half = len / 2;
+    for (std::size_t i = 0; i < n; i += len) {
+      std::complex<double> w(1.0, 0.0);
+      for (std::size_t k = 0; k < half; ++k) {
+        const std::complex<double> u = data[i + k];
+        const std::complex<double> v = data[i + k + half];
+        const double pr = v.real() * w.real() - v.imag() * w.imag();
+        const double pi = v.real() * w.imag() + v.imag() * w.real();
+        data[i + k] = {u.real() + pr, u.imag() + pi};
+        data[i + k + half] = {u.real() - pr, u.imag() - pi};
+        w *= wlen;
+      }
+    }
+  }
+  if (inverse) {
+    for (auto& x : data) x /= static_cast<double>(n);
+  }
+}
+
+bool same_bits(const std::vector<std::complex<double>>& a,
+               const std::vector<std::complex<double>>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof a[0]) == 0;
+}
+
+struct FftCall {
+  std::size_t n;
+  bool inverse;
+};
+
+// Interleaved sizes and directions, so a table keyed on the wrong field or
+// overwritten by a later size shows up on the repeat.
+constexpr FftCall kCacheCalls[] = {
+    {512, false}, {8, true}, {256, false}, {512, false}};
+
+std::vector<std::complex<double>> fft_input(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::complex<double>> data(n);
+  for (auto& x : data) x = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  return data;
+}
+
+TEST(FftTwiddleCache, BitIdenticalToPerCallRecurrence) {
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t c = 0; c < std::size(kCacheCalls); ++c) {
+      const FftCall call = kCacheCalls[c];
+      std::vector<std::complex<double>> got = fft_input(call.n, c);
+      std::vector<std::complex<double>> want = got;
+      fft(got, call.inverse);
+      reference_fft(want, call.inverse);
+      EXPECT_TRUE(same_bits(got, want)) << "round " << round << " n="
+                                        << call.n << " inverse="
+                                        << call.inverse;
+    }
+  }
+}
+
+TEST(FftTwiddleCache, ConcurrentThreadsStayBitIdentical) {
+  std::vector<std::vector<std::complex<double>>> want;
+  for (std::size_t c = 0; c < std::size(kCacheCalls); ++c) {
+    want.push_back(fft_input(kCacheCalls[c].n, c));
+    reference_fft(want.back(), kCacheCalls[c].inverse);
+  }
+  constexpr int kThreads = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at a different call, so the threads fill their
+      // caches in different orders.
+      for (std::size_t i = 0; i < 8 * std::size(kCacheCalls); ++i) {
+        const std::size_t c =
+            (i + static_cast<std::size_t>(t)) % std::size(kCacheCalls);
+        std::vector<std::complex<double>> got = fft_input(kCacheCalls[c].n, c);
+        fft(got, kCacheCalls[c].inverse);
+        if (!same_bits(got, want[c])) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 class FftSizes : public ::testing::TestWithParam<int> {};
@@ -571,6 +673,35 @@ TEST_P(FftSizes, RoundTripAtManySizes) {
 
 INSTANTIATE_TEST_SUITE_P(PowersOfTwo, FftSizes,
                          ::testing::Values(1, 2, 4, 8, 32, 128, 512, 2048));
+
+// ---------- JSON parser ----------
+
+TEST(Json, NestingDepthIsCapped) {
+  const std::string at_cap = std::string(kJsonMaxDepth, '[') +
+                             std::string(kJsonMaxDepth, ']');
+  EXPECT_TRUE(parse_json(at_cap).is_array());
+  const std::string past_cap = std::string(kJsonMaxDepth + 1, '[') +
+                               std::string(kJsonMaxDepth + 1, ']');
+  EXPECT_THROW(parse_json(past_cap), std::runtime_error);
+  // A hostile body: without the cap this recursion overflows the stack.
+  EXPECT_THROW(parse_json(std::string(1000000, '[')), std::runtime_error);
+  std::string deep_object;
+  for (int i = 0; i < 100000; ++i) deep_object += R"({"a":)";
+  try {
+    parse_json(deep_object);
+    ADD_FAILURE() << "deep object parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos);
+  }
+}
+
+TEST(Json, UnicodeEscapeNeedsFourHexDigits) {
+  EXPECT_THROW(parse_json(R"("\uzzzz")"), std::runtime_error);
+  EXPECT_THROW(parse_json(R"("\u12zz")"), std::runtime_error);
+  EXPECT_THROW(parse_json(R"("\u-012")"), std::runtime_error);
+  EXPECT_THROW(parse_json(R"("\u12")"), std::runtime_error);
+  EXPECT_EQ(parse_json(R"("\u004a\u004B")").str, "JK");
+}
 
 // ---------- Units ----------
 
