@@ -52,15 +52,8 @@ std::vector<PathContribution> Link::contributions(
     array::BeamId tx_beam, array::BeamId rx_beam) const {
   std::vector<PathContribution> out;
   out.reserve(paths_.size());
-  for (const Path& p : paths_) {
-    const double power =
-        path_power_dbm(cfg_.tx_power_dbm, tx_->gain_dbi(tx_beam, p.aod_deg),
-                       rx_->gain_dbi(rx_beam, p.aoa_deg), path_loss(p));
-    out.push_back({power,
-                   p.length_m / libra::util::kSpeedOfLightMps *
-                       libra::util::kNsPerSecond,
-                   p.aod_deg, p.aoa_deg, p.bounces});
-  }
+  for_each_contribution(tx_beam, rx_beam,
+                        [&](const PathContribution& c) { out.push_back(c); });
   return out;
 }
 

@@ -82,6 +82,20 @@ class Link {
   // Per-path received power for a beam pair (blockage applied per leg).
   std::vector<PathContribution> contributions(array::BeamId tx_beam,
                                               array::BeamId rx_beam) const;
+  // The same contributions, handed to fn(const PathContribution&) one path
+  // at a time in path order, without building the vector.
+  template <class Fn>
+  void for_each_contribution(array::BeamId tx_beam, array::BeamId rx_beam,
+                             Fn&& fn) const {
+    for (const Path& p : paths_) {
+      fn(PathContribution{
+          path_power_dbm(cfg_.tx_power_dbm, tx_->gain_dbi(tx_beam, p.aod_deg),
+                         rx_->gain_dbi(rx_beam, p.aoa_deg), path_loss(p)),
+          p.length_m / libra::util::kSpeedOfLightMps *
+              libra::util::kNsPerSecond,
+          p.aod_deg, p.aoa_deg, p.bounces});
+    }
+  }
 
   // Total received power: non-coherent sum over paths. Returns a very low
   // floor (-200 dBm) when no path exists.

@@ -150,8 +150,20 @@ void LinkController::rebaseline(const phy::PhyObservation& obs) {
   baseline_ = obs;
 }
 
+void LinkController::materialize_pdp(DecisionRequest& request) const {
+  if (!request.pending_pdp) return;
+  sampler_.materialize(*link_, *request.pending_pdp, request.obs);
+  request.pending_pdp.reset();
+}
+
 trace::FeatureVector LinkController::features_against_baseline(
-    const phy::PhyObservation& obs) const {
+    const DecisionRequest& request) const {
+  if (request.pending_pdp) {
+    throw std::logic_error(
+        "features_against_baseline: the observation's PDP is not "
+        "materialized");
+  }
+  const phy::PhyObservation& obs = request.obs;
   trace::FeatureVector f;
   if (!baseline_) return f;
   f.v[0] = baseline_->snr_db - obs.snr_db;
@@ -179,10 +191,14 @@ DecisionRequest LinkController::observe(util::Rng& rng) {
   // prober may spend the frame probing one MCS higher.
   const phy::McsIndex frame_mcs = mcs_;
   // Window-averaged observation (what the classifier and the settle logic
-  // consume).
-  phy::ChannelSnr channel_snr;
-  request.obs = sampler_.observe(*link_, tx_beam_, rx_beam_, frame_mcs, rng,
-                                 &channel_snr);
+  // consume). Only its scalars for now: the PDP, ToF and CSI wait for a
+  // reader (LiBRA's features, the fault seam), which materializes them
+  // within this call, on this link state.
+  phy::ScalarObservation scalar =
+      sampler_.observe_scalars(*link_, tx_beam_, rx_beam_, frame_mcs, rng);
+  request.obs = std::move(scalar.obs);
+  request.pending_pdp = scalar.ticket;
+  const phy::ChannelSnr& channel_snr = scalar.channel_snr;
   const phy::PhyObservation& obs = request.obs;
 
   // This specific frame either collides with an interference burst or not;
@@ -207,6 +223,9 @@ DecisionRequest LinkController::observe(util::Rng& rng) {
   if (faults_ != nullptr && faults_->active()) {
     using faults::FaultKind;
     const double t = report.t_ms;
+    // Stale, garbage and truncated PHY faults, and the last clean
+    // observation they replay, all act on a full observation.
+    materialize_pdp(request);
     if (faults_->query(FaultKind::kDropAck, t).fired) {
       report.ack = false;  // the BA never arrived; the aggregate is lost
       report.goodput_mbps = 0.0;
@@ -397,8 +416,8 @@ void LibraController::plan(DecisionRequest& request, util::Rng& rng) {
   // Rung 2 again, for stale inputs: a non-finite feature (poisoned PDP/CSI
   // taps can slip past the scalar usability check) must never reach the
   // forest -- classify{,_batch} would reject it. Fall back instead.
-  const trace::FeatureVector features =
-      features_against_baseline(request.obs);
+  materialize_pdp(request);
+  const trace::FeatureVector features = features_against_baseline(request);
   for (const double v : features.v) {
     if (!std::isfinite(v)) {
       verdict_counters().degraded_decisions.inc();

@@ -74,7 +74,9 @@ struct FrameReport {
 };
 
 // Everything observe() learned this frame and decide() needs to rule on it.
-// Exactly one of three shapes:
+// `obs` starts scalar-only: its PDP, ToF and CSI are synthesized on demand
+// (LinkController::materialize_pdp), and `pending_pdp` holds the ticket
+// until they are. Exactly one of three shapes:
 //   - decision_due == false: the RA walk consumed the frame, no policy runs;
 //   - classifier != nullptr: the verdict requires classifier inference over
 //     `features` (the batching boundary -- a fleet funnels all rows sharing
@@ -84,6 +86,10 @@ struct FrameReport {
 struct DecisionRequest {
   FrameReport report;        // the frame observe() transmitted
   phy::PhyObservation obs;   // window-averaged observation at the frame MCS
+  // Set while obs's PDP, ToF and CSI are not synthesized yet. An explicit
+  // ticket, not empty vectors: a truncated observation is legitimately
+  // short.
+  std::optional<phy::PdpTicket> pending_pdp;
   bool decision_due = false;
   const LibraClassifier* classifier = nullptr;  // non-owning
   trace::FeatureVector features{};
@@ -169,8 +175,14 @@ class LinkController {
   // Snapshot the current observation as the reference "initial state" the
   // feature deltas are computed against.
   void rebaseline(const phy::PhyObservation& obs);
+  // Synthesize the request's pending PDP, ToF and CSI into request.obs (a
+  // no-op once done). Only valid inside the observe() call that made the
+  // request: the link must still be in the state the scalars saw.
+  void materialize_pdp(DecisionRequest& request) const;
+  // The feature row of request.obs against the baseline. Throws
+  // std::logic_error while the request's PDP is pending.
   trace::FeatureVector features_against_baseline(
-      const phy::PhyObservation& obs) const;
+      const DecisionRequest& request) const;
 
   channel::Link* link_;                 // non-owning
   const phy::ErrorModel* error_model_;  // non-owning

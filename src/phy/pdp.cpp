@@ -8,16 +8,21 @@
 
 namespace libra::phy {
 
+void add_path_to_pdp(std::vector<double>& pdp, double delay_ns,
+                     double power_mw, const PdpConfig& cfg) {
+  const int tap = static_cast<int>(std::round(delay_ns / cfg.tap_spacing_ns));
+  if (tap < 0 || tap >= cfg.num_taps) return;
+  pdp[static_cast<std::size_t>(tap)] += power_mw;
+}
+
 std::vector<double> synthesize_pdp(
     const std::vector<channel::PathContribution>& contributions,
     const PdpConfig& cfg) {
   std::vector<double> pdp(static_cast<std::size_t>(cfg.num_taps),
                           cfg.noise_floor_mw);
   for (const auto& c : contributions) {
-    const int tap = static_cast<int>(std::round(c.delay_ns / cfg.tap_spacing_ns));
-    if (tap < 0 || tap >= cfg.num_taps) continue;
-    pdp[static_cast<std::size_t>(tap)] +=
-        libra::util::dbm_to_mw(c.rx_power_dbm);
+    add_path_to_pdp(pdp, c.delay_ns, libra::util::dbm_to_mw(c.rx_power_dbm),
+                    cfg);
   }
   return pdp;
 }

@@ -22,7 +22,13 @@ struct PdpConfig {
   double noise_floor_mw = 1e-12; // per-tap measurement floor
 };
 
-// Synthesize a PDP (linear mW per tap) from per-path contributions.
+// Add one path's power (mW) to the tap its delay falls on; a delay outside
+// the profile window adds nothing.
+void add_path_to_pdp(std::vector<double>& pdp, double delay_ns,
+                     double power_mw, const PdpConfig& cfg);
+
+// Synthesize a PDP (linear mW per tap) from per-path contributions: the
+// measurement floor on every tap, then add_path_to_pdp in path order.
 std::vector<double> synthesize_pdp(
     const std::vector<channel::PathContribution>& contributions,
     const PdpConfig& cfg = {});

@@ -8,8 +8,16 @@
 // gaussian. The PDP's per-tap jitter comes from a util::KeyedNormals stream
 // keyed by the tap key, never from the link stream, so skipping the taps
 // (observe_rate) leaves every later link draw where it was.
+//
+// Lazy PDP. observe_scalars() makes the four draws and hands back the tap
+// key in a PdpTicket instead of the taps; materialize() later synthesizes
+// the PDP, ToF and CSI from (link, beams, tap key). As long as the link
+// state has not changed in between, the result is bit-identical to what
+// observe() would have returned, and no link-stream draw moves: the taps
+// never touched the link stream.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -33,6 +41,14 @@ struct PhyObservation {
   McsIndex mcs = 0;
 };
 
+// What materialize() needs to synthesize a scalar observation's PDP, ToF
+// and CSI: the beam pair it was taken through and its tap key.
+struct PdpTicket {
+  array::BeamId tx_beam = 0;
+  array::BeamId rx_beam = 0;
+  std::uint64_t tap_key = 0;
+};
+
 // The rate-only slice of an observation: what the MCS walk, the upward
 // prober and the collector's per-MCS probes read. A type of its own so it
 // can never stand in for a PhyObservation (no PDP, ToF or CSI to compare).
@@ -51,6 +67,15 @@ struct RateObservation {
 struct ChannelSnr {
   double clean_db = 0.0;
   double jammed_db = 0.0;
+};
+
+// An observation whose PDP, ToF and CSI are not synthesized yet: `obs`
+// holds observe()'s scalars (SNR, noise, CDR, throughput, MCS) with an
+// empty PDP and CSI, and `ticket` is what materializes them.
+struct ScalarObservation {
+  PhyObservation obs;
+  PdpTicket ticket;
+  ChannelSnr channel_snr;  // the pass's jitter-free SNRs
 };
 
 struct SamplerConfig {
@@ -72,6 +97,20 @@ class PhySampler {
                          array::BeamId rx_beam, McsIndex mcs, util::Rng& rng,
                          ChannelSnr* channel_snr = nullptr) const;
 
+  // observe() with the PDP, ToF and CSI deferred: bit-identical scalars
+  // and channel SNRs, the same link-stream draws, and the ticket that
+  // materialize() turns into the rest.
+  ScalarObservation observe_scalars(const channel::Link& link,
+                                    array::BeamId tx_beam,
+                                    array::BeamId rx_beam, McsIndex mcs,
+                                    util::Rng& rng) const;
+
+  // Synthesize the PDP, ToF and CSI of the observation `ticket` came from
+  // into `obs`, on the link state observe_scalars() saw. Draws nothing from
+  // any link stream; counts one "phy.pdp_materialized".
+  void materialize(const channel::Link& link, const PdpTicket& ticket,
+                   PhyObservation& obs) const;
+
   // The same observation without the PDP, ToF and CSI: bit-identical
   // scalars and the same link-stream draws as observe().
   RateObservation observe_rate(const channel::Link& link,
@@ -91,12 +130,25 @@ class PhySampler {
 
  private:
   struct RatePass;
-  // The shared scalar half of observe() and observe_rate(), from the pass's
-  // received power: SNR, noise, CDR and throughput, and the four
-  // link-stream draws of the draw contract.
+  // The shared scalar half of every observation, from the pass's received
+  // power and the Rx beam's effective noise floor: SNR, noise, CDR and
+  // throughput, and the four link-stream draws of the draw contract.
   RatePass rate_pass(const channel::Link& link, double rx_dbm,
-                     array::BeamId rx_beam, McsIndex mcs,
+                     double jam_floor_dbm, McsIndex mcs,
                      util::Rng& rng) const;
+  // The one PDP synthesis, shared by observe() and materialize(). The first
+  // half walks the link's paths once, accumulating each path's power into
+  // its tap over the detection floor; it returns the path-order power sum
+  // (mW), which is the sum Link::rx_power_dbm takes. The second half applies
+  // the keyed tap jitter, then derives the ToF and the CSI.
+  double pdp_taps(const channel::Link& link, array::BeamId tx_beam,
+                  array::BeamId rx_beam, const PdpConfig& pdp_cfg,
+                  std::vector<double>& pdp) const;
+  void finish_pdp(std::uint64_t tap_key, const PdpConfig& pdp_cfg,
+                  PhyObservation& obs) const;
+  // The PDP config whose per-tap floor sits 6 dB under the Rx beam's
+  // effective noise floor.
+  PdpConfig detection_config(double jam_floor_dbm) const;
 
   const ErrorModel* error_model_;  // non-owning
   SamplerConfig cfg_;

@@ -207,23 +207,43 @@ class JsonParser {
     return v;
   }
 
+  // RFC 8259 number: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+  // The token is scanned by that grammar first, so from_chars only ever
+  // sees a well-formed number and must consume all of it.
   JsonValue number() {
     const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    const auto digit = [&] {
+      return pos_ < text_.size() &&
+             std::isdigit(static_cast<unsigned char>(text_[pos_]));
+    };
+    const auto digits = [&](const char* what) {
+      if (!digit()) fail(what);
+      while (digit()) ++pos_;
+    };
+    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+    if (!digit()) fail(pos_ == start ? "expected a value" : "bad number");
+    if (text_[pos_] == '0') {
       ++pos_;
+    } else {
+      digits("bad number");
     }
-    if (pos_ == start) fail("expected a value");
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      digits("bad number: no digits after '.'");
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        ++pos_;
+      }
+      digits("bad number: no exponent digits");
+    }
     JsonValue v;
     v.type = JsonValue::Type::kNumber;
-    try {
-      v.number = std::stod(std::string(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      fail("bad number");
-    }
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    const auto [end, ec] = std::from_chars(first, last, v.number);
+    if (ec != std::errc{} || end != last) fail("bad number");
     return v;
   }
 

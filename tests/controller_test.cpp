@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "core/controller.h"
 #include "env/registry.h"
@@ -201,6 +203,37 @@ TEST_F(LiveFixture, WalkFramesCarryNoDecision) {
     ctrl.apply(verdict, request, rng);
   }
   EXPECT_TRUE(saw_walk_frame);
+}
+
+// Exposes the protected materialize and feature steps.
+class FeatureProbe : public core::RaFirstController {
+ public:
+  using core::RaFirstController::RaFirstController;
+  using core::LinkController::features_against_baseline;
+  using core::LinkController::materialize_pdp;
+};
+
+TEST_F(LiveFixture, FeaturesFromAnUnmaterializedRequestThrow) {
+  FeatureProbe ctrl(&link, &em, {});
+  util::Rng rng(1);
+  ctrl.start(rng);
+  // RA-first never reads the PDP, so its requests keep the ticket.
+  core::DecisionRequest request = ctrl.observe(rng);
+  ASSERT_TRUE(request.pending_pdp.has_value());
+  EXPECT_TRUE(request.obs.pdp.empty());
+  EXPECT_THROW(ctrl.features_against_baseline(request), std::logic_error);
+
+  ctrl.materialize_pdp(request);
+  EXPECT_FALSE(request.pending_pdp.has_value());
+  EXPECT_EQ(request.obs.pdp.size(), 256u);
+  const trace::FeatureVector f = ctrl.features_against_baseline(request);
+  for (const double v : f.v) EXPECT_TRUE(std::isfinite(v));
+
+  // The ticket, not vector length, is the guard: a materialized observation
+  // that a truncation fault shortened still builds features.
+  request.obs.pdp.resize(1);
+  request.obs.csi.resize(1);
+  EXPECT_NO_THROW(ctrl.features_against_baseline(request));
 }
 
 TEST_F(LiveFixture, LibraControllerNeedsClassifier) {

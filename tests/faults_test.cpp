@@ -36,13 +36,16 @@ using libra::testing::make_record;
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// A 3-station mixed fleet in the lobby (2 LiBRA + 1 RA-first) with
-// per-station impairments. `all_heuristic` makes every station RA-first.
+// Who drives the fleet's stations: the mix of 2 LiBRA + 1 RA-first, or
+// every station on one heuristic.
+enum class Policy { kMixed, kRaFirst, kBaFirst };
+
+// A 3-station fleet in the lobby with per-station impairments.
 sim::FleetResult run_mixed_fleet(const core::LibraClassifier* clf,
                                  std::uint64_t fleet_seed,
                                  const faults::FaultPlan& plan,
-                                 bool all_heuristic = false) {
-  const core::LibraClassifier* c0 = all_heuristic ? nullptr : clf;
+                                 Policy policy = Policy::kMixed) {
+  const core::LibraClassifier* c0 = policy == Policy::kMixed ? clf : nullptr;
   std::vector<sim::StationSpec> specs(3);
   specs[0] = {{10, 6}, c0, {}};
   specs[0].script.blockage.push_back({400.0, 900.0, {{6, 6}, 0.3, 35.0}});
@@ -60,6 +63,11 @@ sim::FleetResult run_mixed_fleet(const core::LibraClassifier* clf,
   cfg.seed = fleet_seed;
   cfg.keep_frame_logs = true;
   cfg.faults = plan;
+  if (policy == Policy::kBaFirst) {
+    const libra::testing::BaFirstFleet ba = libra::testing::ba_first_fleet(
+        world.members(), &sim::golden_error_model());
+    return sim::run_fleet(ba.members, cfg);
+  }
   return sim::run_fleet(world.members(), cfg);
 }
 
@@ -159,8 +167,8 @@ TEST(FaultsDegradation, FullOutageReducesToRaFirstHeuristic) {
 
   const sim::FleetResult degraded =
       run_mixed_fleet(&sim::golden_classifier(), 77, outage);
-  const sim::FleetResult heuristic = run_mixed_fleet(
-      nullptr, 77, faults::FaultPlan{}, /*all_heuristic=*/true);
+  const sim::FleetResult heuristic =
+      run_mixed_fleet(nullptr, 77, faults::FaultPlan{}, Policy::kRaFirst);
   expect_fleets_identical(degraded, heuristic);
 }
 
@@ -168,19 +176,26 @@ TEST(FaultsDegradation, FullOutageReducesToRaFirstHeuristic) {
 
 // An empty plan must leave the run bit-identical to one with no fault
 // machinery at all, and a plan whose windows can never fire (p = 0) must
-// behave the same (its draws come from the disjoint fault stream).
+// behave the same (its draws come from the disjoint fault stream) -- with
+// a zero-probability window of every fault kind, under every policy. A
+// non-empty plan is active(), so the fault seam synthesizes every frame's
+// PDP eagerly where an unfaulted run defers it to the features: this is
+// also the lazy-vs-eager PDP differential.
 TEST(FaultsIdentity, EmptyAndZeroProbabilityPlansAreNoOps) {
-  const sim::FleetResult clean =
-      run_mixed_fleet(&sim::golden_classifier(), 77, faults::FaultPlan{});
-
   faults::FaultPlan zero;
   zero.seed = 9;
-  zero.add(faults::FaultKind::kDropAck, 0.0);
-  zero.add(faults::FaultKind::kGarbagePhy, 0.0, 100.0, 900.0);
-  const sim::FleetResult zeroed =
-      run_mixed_fleet(&sim::golden_classifier(), 77, zero);
-
-  expect_fleets_identical(clean, zeroed);
+  for (int k = 0; k < faults::kNumFaultKinds; ++k) {
+    zero.add(static_cast<faults::FaultKind>(k), 0.0);
+  }
+  for (const Policy policy :
+       {Policy::kMixed, Policy::kRaFirst, Policy::kBaFirst}) {
+    SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)));
+    const sim::FleetResult clean = run_mixed_fleet(
+        &sim::golden_classifier(), 77, faults::FaultPlan{}, policy);
+    const sim::FleetResult zeroed =
+        run_mixed_fleet(&sim::golden_classifier(), 77, zero, policy);
+    expect_fleets_identical(clean, zeroed);
+  }
 }
 
 // Faulted runs obey the fleet determinism contract: the forest thread

@@ -296,6 +296,52 @@ TEST(Fleet, PhaseHistogramsCountSteppedShardTicks) {
   }
 }
 
+// The lazy frame PDP, counted through the observation-only
+// phy.pdp_materialized (the eager observe() of a rebaseline never bumps
+// it): RA-first and BA-first fleets synthesize no frame PDP at all, and
+// LiBRA synthesizes exactly one per feature row it classifies.
+TEST(Fleet, FramePdpMaterializedOncePerFeatureRow) {
+  const auto delta_of = [](const obs::MetricsSnapshot& delta,
+                           const char* name) -> std::uint64_t {
+    const auto* counter = delta.find_counter(name);
+    return counter == nullptr ? 0 : counter->value;
+  };
+  const auto run_counted = [](std::span<const sim::FleetLink> members,
+                              sim::FleetResult& result) {
+    const obs::MetricsSnapshot before = obs::Registry::global().snapshot();
+    result = sim::run_fleet(members, grid_cfg(77, 0, 1));
+    return obs::Registry::global().snapshot().delta_since(before);
+  };
+  const array::Codebook codebook;
+
+  const sim::FleetWorld libra_world = lobby_world(&codebook, mixed_specs());
+  sim::FleetResult libra;
+  const obs::MetricsSnapshot libra_delta =
+      run_counted(libra_world.members(), libra);
+  ASSERT_GT(libra.batched_rows, 0);
+  EXPECT_EQ(delta_of(libra_delta, "controller.degraded_decisions"), 0u);
+  EXPECT_EQ(delta_of(libra_delta, "phy.pdp_materialized"),
+            static_cast<std::uint64_t>(libra.batched_rows));
+
+  std::vector<sim::StationSpec> heuristic = mixed_specs();
+  for (sim::StationSpec& spec : heuristic) spec.classifier = nullptr;
+  const sim::FleetWorld ra_world = lobby_world(&codebook, heuristic);
+  sim::FleetResult ra;
+  EXPECT_EQ(delta_of(run_counted(ra_world.members(), ra),
+                     "phy.pdp_materialized"),
+            0u);
+  EXPECT_GT(ra.link_frames, 0);
+
+  const sim::FleetWorld ba_world = lobby_world(&codebook, heuristic);
+  const libra::testing::BaFirstFleet ba_fleet = libra::testing::ba_first_fleet(
+      ba_world.members(), &sim::golden_error_model());
+  sim::FleetResult ba;
+  EXPECT_EQ(delta_of(run_counted(ba_fleet.members, ba),
+                     "phy.pdp_materialized"),
+            0u);
+  EXPECT_GT(ba.link_frames, 0);
+}
+
 #endif  // LIBRA_OBS_ENABLED
 
 // A ~1k-link mixed-impairment fleet over a small codebook (5 beams keeps

@@ -313,12 +313,23 @@ TEST_F(SamplerFixture, ObservationMakesFourLinkStreamDraws) {
   EXPECT_EQ(observed.raw(), replay.raw());
 }
 
-TEST(Sampler, RateProbeMatchesFullObservationInRegistryRooms) {
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (bits(a[i]) != bits(b[i])) return false;
+  }
+  return true;
+}
+
+TEST(Sampler, RateProbeAndLazyPdpMatchFullObservationInRegistryRooms) {
   // Every registry room, each with the 8 combinations of {blocker on the
   // LOS, bursty interferer, fade}, every MCS. The rate-only probe must give
   // the full observation's scalars bit for bit and leave the link stream in
   // the same state; the full observation's channel SNRs must be the link's
-  // own queries bit for bit (the frame SINR reads them).
+  // own queries bit for bit (the frame SINR reads them). The scalar
+  // observation plus materialize() must rebuild every field of the full
+  // observation bit for bit, ToF = infinity included, and leave the link
+  // stream where observe() leaves it.
   const McsTable table;
   const ErrorModel em(&table);
   const PhySampler sampler(&em);
@@ -328,6 +339,7 @@ TEST(Sampler, RateProbeMatchesFullObservationInRegistryRooms) {
     rooms.push_back(std::move(e));
   }
   util::Rng poses(21);
+  int infinite_tofs = 0;
   for (env::Environment& room : rooms) {
     const env::Environment::BoundingBox bb = room.bounding_box();
     const auto random_point = [&] {
@@ -390,10 +402,43 @@ TEST(Sampler, RateProbeMatchesFullObservationInRegistryRooms) {
         EXPECT_EQ(full_rng.raw(), rate_rng.raw());
         EXPECT_EQ(bits(snr.clean_db), bits(link.snr_clean_db(tb, rb)));
         EXPECT_EQ(bits(snr.jammed_db), bits(link.snr_db(tb, rb)));
+
+        util::Rng lazy_rng(seed);
+        ScalarObservation scalar =
+            sampler.observe_scalars(link, tb, rb, m, lazy_rng);
+        EXPECT_TRUE(scalar.obs.pdp.empty());
+        EXPECT_TRUE(scalar.obs.csi.empty());
+        EXPECT_FALSE(scalar.obs.tof_ns.has_value());
+        EXPECT_EQ(scalar.ticket.tx_beam, tb);
+        EXPECT_EQ(scalar.ticket.rx_beam, rb);
+        EXPECT_EQ(bits(scalar.channel_snr.clean_db), bits(snr.clean_db));
+        EXPECT_EQ(bits(scalar.channel_snr.jammed_db), bits(snr.jammed_db));
+        PhyObservation lazy = scalar.obs;
+        sampler.materialize(link, scalar.ticket, lazy);
+        EXPECT_EQ(bits(lazy.snr_db), bits(full.snr_db));
+        EXPECT_EQ(bits(lazy.noise_dbm), bits(full.noise_dbm));
+        EXPECT_EQ(bits(lazy.cdr), bits(full.cdr));
+        EXPECT_EQ(bits(lazy.throughput_mbps), bits(full.throughput_mbps));
+        EXPECT_EQ(lazy.mcs, full.mcs);
+        ASSERT_EQ(lazy.tof_ns.has_value(), full.tof_ns.has_value());
+        if (full.tof_ns) {
+          EXPECT_EQ(bits(*lazy.tof_ns), bits(*full.tof_ns));
+        } else {
+          ++infinite_tofs;
+        }
+        EXPECT_EQ(lazy.pdp.size(), static_cast<std::size_t>(256));
+        EXPECT_TRUE(same_bits(lazy.pdp, full.pdp));
+        EXPECT_TRUE(same_bits(lazy.csi, full.csi));
+        util::Rng observed_after(seed);
+        sampler.observe(link, tb, rb, m, observed_after);
+        EXPECT_EQ(lazy_rng.raw(), observed_after.raw());
       }
     }
     room.clear_blockers();
   }
+  // The sweep reaches the "ToF = infinity" state the lazy path must also
+  // reproduce (random beam pairs through a blocker or a backlobe).
+  EXPECT_GT(infinite_tofs, 0);
 }
 
 // ---------- keyed normal stream ----------

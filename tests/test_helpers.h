@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/controller.h"
+#include "sim/fleet.h"
 #include "sim/golden.h"
 #include "trace/collector.h"
 
@@ -94,6 +98,26 @@ inline void expect_fleets_identical(const sim::FleetResult& a,
     }
   }
   EXPECT_EQ(sim::degradation_digest(a), sim::degradation_digest(b)) << tag;
+}
+
+// A BA-first fleet on a world's stations (sim::FleetWorld builds only LiBRA
+// and RA-first ones): every member re-pointed at a BaFirstController on its
+// own link, while the world's controllers sit idle.
+struct BaFirstFleet {
+  std::vector<std::unique_ptr<core::BaFirstController>> controllers;
+  std::vector<sim::FleetLink> members;
+};
+inline BaFirstFleet ba_first_fleet(std::span<const sim::FleetLink> world,
+                                   const phy::ErrorModel* error_model) {
+  BaFirstFleet fleet;
+  for (const sim::FleetLink& member : world) {
+    fleet.controllers.push_back(std::make_unique<core::BaFirstController>(
+        member.link, error_model, core::ControllerConfig{}));
+    sim::FleetLink ba = member;
+    ba.controller = fleet.controllers.back().get();
+    fleet.members.push_back(std::move(ba));
+  }
+  return fleet;
 }
 
 }  // namespace libra::testing

@@ -703,6 +703,29 @@ TEST(Json, UnicodeEscapeNeedsFourHexDigits) {
   EXPECT_EQ(parse_json(R"("\u004a\u004B")").str, "JK");
 }
 
+TEST(Json, NumbersFollowTheRfcGrammar) {
+  // Each of these once parsed as its longest numeric prefix (1, 1e5, 1.2)
+  // or slipped past a lenient scan.
+  for (const char* bad :
+       {"[1-2]", "[1e5e5]", "[1.2.3]", "[01]", "[-]", "[1.]", "[.5]", "[+1]",
+        "[1e]", "[1e+]", "[-01]", "[1E5.0]"}) {
+    EXPECT_THROW(parse_json(bad), std::runtime_error) << bad;
+  }
+  const auto number = [](const char* text) {
+    const JsonValue v = parse_json(text);
+    EXPECT_TRUE(v.is_number()) << text;
+    return v.number;
+  };
+  const double negative_zero = number("-0");
+  EXPECT_EQ(negative_zero, 0.0);
+  EXPECT_TRUE(std::signbit(negative_zero));
+  EXPECT_EQ(number("1e-7"), 1e-7);
+  EXPECT_EQ(number("2.5E+3"), 2500.0);
+  EXPECT_EQ(number("0.125"), 0.125);
+  EXPECT_EQ(number("-12e2"), -1200.0);
+  EXPECT_EQ(parse_json("[0,10,-3]").array.at(1).number, 10.0);
+}
+
 // ---------- Units ----------
 
 TEST(Units, DbLinearRoundTrip) {

@@ -7,7 +7,10 @@
 //
 // Paste the printed constant into sim/golden.h when a deliberate behavior
 // change moves the canonical run.
-// CI's release job runs this binary and requires the "matches" line.
+//
+// Exit status: 0 when the digest matches kGoldenDigest (the "matches"
+// line), 1 when it differs (the "DIFFERS" line), so a script can gate on
+// either. CI's release job runs this binary and also greps for "matches".
 #include <cstdio>
 
 #include "sim/golden.h"
@@ -23,9 +26,9 @@ int main() {
               static_cast<unsigned long long>(digest));
   if (digest == libra::sim::kGoldenDigest) {
     std::printf("matches sim/golden.h kGoldenDigest\n");
-  } else {
-    std::printf("DIFFERS from sim/golden.h kGoldenDigest (0x%016llxULL)\n",
-                static_cast<unsigned long long>(libra::sim::kGoldenDigest));
+    return 0;
   }
-  return 0;
+  std::printf("DIFFERS from sim/golden.h kGoldenDigest (0x%016llxULL)\n",
+              static_cast<unsigned long long>(libra::sim::kGoldenDigest));
+  return 1;
 }
