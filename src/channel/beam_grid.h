@@ -3,12 +3,13 @@
 // A sector sweep probes many beam pairs of one link in one channel state.
 // Per pair, Link re-derives every path's two beam gains, its path loss and
 // its blockage walk; but the paths are few (mmWave multipath is sparse) and
-// only the gains depend on the beams. The grid evaluates each path's losses
-// once, its Tx gain once per Tx beam and its Rx gain once per Rx beam (plus
-// kQuasiOmni), and the noise floor once per Rx beam. A pair then costs one
-// dB-to-mW conversion per path and one log10.
+// only the gains depend on the beams. The grid works in the linear domain:
+// it converts each path's base power (Tx power less its losses) once, its
+// Tx gain once per Tx beam and its Rx gain once per Rx beam (plus
+// kQuasiOmni), and evaluates the noise floor once per Rx beam. A pair then
+// costs one product and one add per path, and one log10.
 //
-// Every pair goes through the same channel::path_power_dbm and
+// Every pair goes through the same channel::path_power_mw and
 // total_power_dbm as Link's per-pair queries, with the same operands in the
 // same order, so grid values are bit-identical to Link::rx_power_dbm /
 // snr_clean_db / snr_db. The grid is a snapshot: rebuild it after the link
@@ -46,12 +47,11 @@ class BeamGrid {
   // Bit-identical to the Link queries of the same name.
   double rx_power_dbm(array::BeamId tx_beam, array::BeamId rx_beam) const {
     const double* tx =
-        tx_gain_.data() + static_cast<std::size_t>(tx_beam) * paths_;
-    const double* rx = rx_gain_.data() + row(rx_beam) * paths_;
+        tx_gain_lin_.data() + static_cast<std::size_t>(tx_beam) * paths_;
+    const double* rx = rx_gain_lin_.data() + row(rx_beam) * paths_;
     double total_mw = 0.0;
     for (std::size_t p = 0; p < paths_; ++p) {
-      total_mw += libra::util::dbm_to_mw(
-          path_power_dbm(tx_power_dbm_, tx[p], rx[p], loss_[p]));
+      total_mw += path_power_mw(base_mw_[p], tx[p], rx[p]);
     }
     return total_power_dbm(total_mw, fade_db_);
   }
@@ -72,13 +72,12 @@ class BeamGrid {
   std::size_t paths_ = 0;
   int num_tx_ = 0;
   int num_rx_ = 0;
-  double tx_power_dbm_ = 0.0;
   double fade_db_ = 0.0;
   double clean_floor_dbm_ = 0.0;
   double duty_ = 0.0;
-  std::vector<PathLoss> loss_;            // [path]
-  std::vector<double> tx_gain_;           // [tx_beam * paths + path]
-  std::vector<double> rx_gain_;           // [row(rx_beam) * paths + path]
+  std::vector<double> base_mw_;           // [path]
+  std::vector<double> tx_gain_lin_;       // [tx_beam * paths + path]
+  std::vector<double> rx_gain_lin_;       // [row(rx_beam) * paths + path]
   std::vector<double> noise_floor_dbm_;   // [row(rx_beam)]
 };
 

@@ -48,22 +48,11 @@ PathLoss Link::path_loss(const Path& p) const {
   return loss;
 }
 
-std::vector<PathContribution> Link::contributions(
-    array::BeamId tx_beam, array::BeamId rx_beam) const {
-  std::vector<PathContribution> out;
-  out.reserve(paths_.size());
-  for_each_contribution(tx_beam, rx_beam,
-                        [&](const PathContribution& c) { out.push_back(c); });
-  return out;
-}
-
 double Link::rx_power_dbm(array::BeamId tx_beam, array::BeamId rx_beam) const {
   double total_mw = 0.0;
-  for (const Path& p : paths_) {
-    total_mw += libra::util::dbm_to_mw(
-        path_power_dbm(cfg_.tx_power_dbm, tx_->gain_dbi(tx_beam, p.aod_deg),
-                       rx_->gain_dbi(rx_beam, p.aoa_deg), path_loss(p)));
-  }
+  for_each_contribution(tx_beam, rx_beam, [&](const PathContribution& c) {
+    total_mw += c.power_mw;
+  });
   return total_power_dbm(total_mw, fade_db_);
 }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/fft.h"
-#include "util/units.h"
 
 namespace libra::phy {
 
@@ -13,18 +12,6 @@ void add_path_to_pdp(std::vector<double>& pdp, double delay_ns,
   const int tap = static_cast<int>(std::round(delay_ns / cfg.tap_spacing_ns));
   if (tap < 0 || tap >= cfg.num_taps) return;
   pdp[static_cast<std::size_t>(tap)] += power_mw;
-}
-
-std::vector<double> synthesize_pdp(
-    const std::vector<channel::PathContribution>& contributions,
-    const PdpConfig& cfg) {
-  std::vector<double> pdp(static_cast<std::size_t>(cfg.num_taps),
-                          cfg.noise_floor_mw);
-  for (const auto& c : contributions) {
-    add_path_to_pdp(pdp, c.delay_ns, libra::util::dbm_to_mw(c.rx_power_dbm),
-                    cfg);
-  }
-  return pdp;
 }
 
 std::optional<double> time_of_flight_ns(const std::vector<double>& pdp,

@@ -10,8 +10,6 @@
 #include <optional>
 #include <vector>
 
-#include "channel/link.h"
-
 namespace libra::phy {
 
 struct PdpConfig {
@@ -26,12 +24,6 @@ struct PdpConfig {
 // the profile window adds nothing.
 void add_path_to_pdp(std::vector<double>& pdp, double delay_ns,
                      double power_mw, const PdpConfig& cfg);
-
-// Synthesize a PDP (linear mW per tap) from per-path contributions: the
-// measurement floor on every tap, then add_path_to_pdp in path order.
-std::vector<double> synthesize_pdp(
-    const std::vector<channel::PathContribution>& contributions,
-    const PdpConfig& cfg = {});
 
 // Delay (ns) of the strongest tap; nullopt when all taps are at the noise
 // floor (the "ToF = infinity" case).

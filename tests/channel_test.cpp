@@ -225,11 +225,14 @@ TEST_F(LinkFixture, RemovingInterfererRestoresFloor) {
 }
 
 TEST_F(LinkFixture, ContributionsDelaysMatchGeometry) {
-  const auto contributions = link.contributions(12, 12);
-  ASSERT_FALSE(contributions.empty());
   // The earliest arrival is the LOS at distance/c.
+  std::size_t count = 0;
   double min_delay = 1e18;
-  for (const auto& c : contributions) min_delay = std::min(min_delay, c.delay_ns);
+  link.for_each_contribution(12, 12, [&](const PathContribution& c) {
+    ++count;
+    min_delay = std::min(min_delay, c.delay_ns);
+  });
+  ASSERT_GT(count, 0u);
   EXPECT_NEAR(min_delay, 16.0 / 0.299792458, 0.01);
 }
 

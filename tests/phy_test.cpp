@@ -3,7 +3,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "channel/link.h"
@@ -150,13 +152,22 @@ INSTANTIATE_TEST_SUITE_P(SnrGrid, McsSweep, ::testing::Range(0, 10));
 
 // ---------- PDP ----------
 
+// A PDP built the way the sampler builds one: the measurement floor on
+// every tap, then add_path_to_pdp per (power dBm, delay ns) path, in order.
+std::vector<double> pdp_of(
+    std::initializer_list<std::pair<double, double>> paths,
+    const PdpConfig& cfg = {}) {
+  std::vector<double> pdp(static_cast<std::size_t>(cfg.num_taps),
+                          cfg.noise_floor_mw);
+  for (const auto& [power_dbm, delay_ns] : paths) {
+    add_path_to_pdp(pdp, delay_ns, util::dbm_to_mw(power_dbm), cfg);
+  }
+  return pdp;
+}
+
 TEST(Pdp, TapsAtPathDelays) {
-  std::vector<channel::PathContribution> contributions = {
-      {-50.0, 20.0, 0, 0, 0},
-      {-60.0, 45.0, 0, 0, 1},
-  };
   PdpConfig cfg;
-  const auto pdp = synthesize_pdp(contributions, cfg);
+  const auto pdp = pdp_of({{-50.0, 20.0}, {-60.0, 45.0}}, cfg);
   ASSERT_EQ(static_cast<int>(pdp.size()), cfg.num_taps);
   EXPECT_NEAR(pdp[20], util::dbm_to_mw(-50.0), util::dbm_to_mw(-50.0) * 0.01);
   EXPECT_NEAR(pdp[45], util::dbm_to_mw(-60.0), util::dbm_to_mw(-60.0) * 0.01);
@@ -164,29 +175,21 @@ TEST(Pdp, TapsAtPathDelays) {
 }
 
 TEST(Pdp, OutOfWindowPathsDropped) {
-  std::vector<channel::PathContribution> contributions = {
-      {-50.0, 1e6, 0, 0, 0},  // 1 ms delay: far outside the window
-  };
-  const auto pdp = synthesize_pdp(contributions, {});
+  // 1 ms delay: far outside the window.
+  const auto pdp = pdp_of({{-50.0, 1e6}});
   for (double tap : pdp) EXPECT_LE(tap, 2e-12);
 }
 
 TEST(Pdp, CoincidentPathsAddPower) {
-  std::vector<channel::PathContribution> contributions = {
-      {-50.0, 20.0, 0, 0, 0},
-      {-50.0, 20.2, 0, 0, 1},  // same tap after rounding
-  };
-  const auto pdp = synthesize_pdp(contributions, {});
+  // Two paths that land on the same tap after rounding.
+  const auto pdp = pdp_of({{-50.0, 20.0}, {-50.0, 20.2}});
   EXPECT_NEAR(pdp[20], 2.0 * util::dbm_to_mw(-50.0),
               util::dbm_to_mw(-50.0) * 0.02);
 }
 
 TEST(Pdp, TofIsStrongestTap) {
-  std::vector<channel::PathContribution> contributions = {
-      {-55.0, 30.0, 0, 0, 0},
-      {-45.0, 60.0, 0, 0, 1},  // stronger, later
-  };
-  const auto pdp = synthesize_pdp(contributions, {});
+  // The second path is stronger and later.
+  const auto pdp = pdp_of({{-55.0, 30.0}, {-45.0, 60.0}});
   const auto tof = time_of_flight_ns(pdp, {});
   ASSERT_TRUE(tof.has_value());
   EXPECT_DOUBLE_EQ(*tof, 60.0);
@@ -195,8 +198,7 @@ TEST(Pdp, TofIsStrongestTap) {
 TEST(Pdp, TofInfinityWhenNoSignal) {
   PdpConfig cfg;
   cfg.noise_floor_mw = 1e-9;
-  std::vector<channel::PathContribution> weak = {{-95.0, 30.0, 0, 0, 0}};
-  const auto pdp = synthesize_pdp(weak, cfg);
+  const auto pdp = pdp_of({{-95.0, 30.0}}, cfg);
   EXPECT_FALSE(time_of_flight_ns(pdp, cfg).has_value());
 }
 
@@ -389,9 +391,7 @@ TEST(Sampler, RateProbeAndLazyPdpMatchFullObservationInRegistryRooms) {
         const std::uint64_t seed = poses.raw();
         util::Rng full_rng(seed);
         util::Rng rate_rng(seed);
-        ChannelSnr snr;
-        const PhyObservation full =
-            sampler.observe(link, tb, rb, m, full_rng, &snr);
+        const PhyObservation full = sampler.observe(link, tb, rb, m, full_rng);
         const RateObservation rate =
             sampler.observe_rate(link, tb, rb, m, rate_rng);
         EXPECT_EQ(bits(rate.snr_db), bits(full.snr_db));
@@ -400,8 +400,6 @@ TEST(Sampler, RateProbeAndLazyPdpMatchFullObservationInRegistryRooms) {
         EXPECT_EQ(bits(rate.throughput_mbps), bits(full.throughput_mbps));
         EXPECT_EQ(rate.mcs, full.mcs);
         EXPECT_EQ(full_rng.raw(), rate_rng.raw());
-        EXPECT_EQ(bits(snr.clean_db), bits(link.snr_clean_db(tb, rb)));
-        EXPECT_EQ(bits(snr.jammed_db), bits(link.snr_db(tb, rb)));
 
         util::Rng lazy_rng(seed);
         ScalarObservation scalar =
@@ -411,8 +409,10 @@ TEST(Sampler, RateProbeAndLazyPdpMatchFullObservationInRegistryRooms) {
         EXPECT_FALSE(scalar.obs.tof_ns.has_value());
         EXPECT_EQ(scalar.ticket.tx_beam, tb);
         EXPECT_EQ(scalar.ticket.rx_beam, rb);
-        EXPECT_EQ(bits(scalar.channel_snr.clean_db), bits(snr.clean_db));
-        EXPECT_EQ(bits(scalar.channel_snr.jammed_db), bits(snr.jammed_db));
+        EXPECT_EQ(bits(scalar.channel_snr.clean_db),
+                  bits(link.snr_clean_db(tb, rb)));
+        EXPECT_EQ(bits(scalar.channel_snr.jammed_db),
+                  bits(link.snr_db(tb, rb)));
         PhyObservation lazy = scalar.obs;
         sampler.materialize(link, scalar.ticket, lazy);
         EXPECT_EQ(bits(lazy.snr_db), bits(full.snr_db));

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -732,6 +734,34 @@ TEST(Units, DbLinearRoundTrip) {
   for (double db : {-30.0, -3.0, 0.0, 3.0, 10.0, 20.0}) {
     EXPECT_NEAR(linear_to_db(db_to_linear(db)), db, 1e-12);
   }
+}
+
+TEST(Units, DbToLinearIsTheExpForm) {
+  // The exp form, bit for bit: a pow-based db_to_linear would differ in
+  // the last bits and silently move every channel digest.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int tenth = -2000; tenth <= 600; ++tenth) {
+    const double db = tenth / 10.0;
+    ASSERT_EQ(bits(db_to_linear(db)),
+              bits(std::exp(db * (std::numbers::ln10 / 10.0))))
+        << db << " dB";
+  }
+  EXPECT_EQ(db_to_linear(0.0), 1.0);
+  EXPECT_EQ(bits(db_to_linear(3.0)), bits(0x1.fec982d5bb8bp+0));
+  EXPECT_EQ(bits(db_to_linear(10.0)), bits(0x1.4000000000001p+3));
+  EXPECT_EQ(bits(db_to_linear(-90.0)), bits(0x1.12e0be826d687p-30));
+}
+
+TEST(Units, DbToLinearTracksPowOverTheLinkBudgetRange) {
+  // exp(db * ln10/10) carries the rounding of ln10/10 scaled by |db|, so
+  // the error grows toward the ends of the range: ~1e-14 at -200 dB.
+  double worst = 0.0;
+  for (int step = 0; step <= 260000; ++step) {
+    const double db = -200.0 + step * 1e-3;
+    const double want = std::pow(10.0, db / 10.0);
+    worst = std::max(worst, std::abs(db_to_linear(db) - want) / want);
+  }
+  EXPECT_LT(worst, 2e-14);
 }
 
 TEST(Units, DbmAddition) {
