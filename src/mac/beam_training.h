@@ -13,10 +13,13 @@
 //
 // Every sweep reads its probes from a channel::BeamGrid built in per-thread
 // scratch. A caller that probes the same channel state again (the
-// collector's failover scan) builds its own grid and passes it to the grid
-// overload of exhaustive(). Either way each probe draws its jitter from
-// `rng` in probe order, and results are bit-identical to probing the Link
-// pair by pair.
+// collector's initial sweep and failover scan) builds its own grid and
+// passes it to the grid overloads. Results are bit-identical to probing the
+// Link pair by pair.
+//
+// Draw contract: every sweep, whatever its probe count, makes exactly one
+// draw on the caller's (link) stream, a raw 64-bit key, and its probes take
+// their jitter from a util::KeyedNormals stream keyed by it, in probe order.
 #pragma once
 
 #include "array/codebook.h"
@@ -67,6 +70,14 @@ class BeamTrainer {
   SweepResult coarse_fine(const channel::Link& link,
                           const phy::PhySampler& sampler, util::Rng& rng,
                           int stride = 5, int radius = 2) const;
+
+  // MOCA-style failover scan on a grid the caller built: the best pair,
+  // probed exhaustively, whose Tx sector lies at least `min_sector_gap`
+  // beams from `primary_tx`. With no eligible sector it returns pair (0, 0)
+  // after zero probes.
+  SweepResult failover(const channel::BeamGrid& grid,
+                       const phy::PhySampler& sampler, util::Rng& rng,
+                       array::BeamId primary_tx, int min_sector_gap) const;
 
   const BeamTrainerConfig& config() const { return cfg_; }
 

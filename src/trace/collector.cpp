@@ -1,7 +1,6 @@
 #include "trace/collector.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -159,25 +158,11 @@ CaseRecord TraceCollector::collect(env::Environment& environment, const Case& c,
 
   // Failover pair (MOCA-style): the best pair whose Tx sector is at least
   // `failover_min_sector_gap` away from the primary's.
-  {
-    array::BeamId fo_tx = 0, fo_rx = 0;
-    double fo_snr = -1e9;
-    for (array::BeamId tb = 0; tb < codebook.size(); ++tb) {
-      if (std::abs(tb - init_sweep.tx_beam) < cfg_.failover_min_sector_gap) {
-        continue;
-      }
-      for (array::BeamId rb = 0; rb < codebook.size(); ++rb) {
-        const double snr =
-            sweep_sampler_.measure_snr_db(init_grid, tb, rb, rng);
-        if (snr > fo_snr) {
-          fo_snr = snr;
-          fo_tx = tb;
-          fo_rx = rb;
-        }
-      }
-    }
-    rec.init_failover = measure_pair(link, fo_tx, fo_rx, rng);
-  }
+  const mac::SweepResult failover =
+      trainer_.failover(init_grid, sweep_sampler_, rng, init_sweep.tx_beam,
+                        cfg_.failover_min_sector_gap);
+  rec.init_failover =
+      measure_pair(link, failover.tx_beam, failover.rx_beam, rng);
 
   // --- Interferer calibration: the EIRP is set so that a burst through the
   // operating pair suppresses (nearly) all codewords; the burst duty cycle

@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "env/registry.h"
 #include "mac/ack.h"
@@ -275,23 +280,23 @@ TEST_F(TrainerFixture, SweepTracksRotatedRx) {
 
 // ---------- grid-backed sweeps vs a per-pair reference ----------
 
-// One probe exactly as a sweep measured it before sweeps read a BeamGrid:
-// two per-pair Link queries averaged over the interferer duty, plus the
-// probe jitter.
+// One probe from the per-pair Link queries: the two SNRs averaged over the
+// interferer duty, plus the probe jitter from the sweep's keyed stream.
 double reference_probe(const channel::Link& link, const phy::PhySampler& s,
-                       array::BeamId tb, array::BeamId rb, util::Rng& rng) {
+                       array::BeamId tb, array::BeamId rb,
+                       util::KeyedNormals& jitter) {
   const double duty =
       link.interferer() ? link.interferer()->duty_cycle : 0.0;
   const double avg = (1.0 - duty) * link.snr_clean_db(tb, rb) +
                      duty * link.snr_db(tb, rb);
-  return avg + rng.gaussian(0.0, s.config().snr_jitter_db);
+  return avg + s.config().snr_jitter_db * jitter.next();
 }
 
 // Probe (tb, rb) and keep it when it beats `best` on strict improvement.
 void probe_into(SweepResult& best, const channel::Link& link,
                 const phy::PhySampler& s, array::BeamId tb, array::BeamId rb,
-                util::Rng& rng) {
-  const double snr = reference_probe(link, s, tb, rb, rng);
+                util::KeyedNormals& jitter) {
+  const double snr = reference_probe(link, s, tb, rb, jitter);
   ++best.measurements;
   if (snr > best.snr_db) {
     best.snr_db = snr;
@@ -300,38 +305,48 @@ void probe_into(SweepResult& best, const channel::Link& link,
   }
 }
 
+// Every reference sweep keys its probe jitter by one raw draw of `rng`.
 SweepResult reference_exhaustive(const channel::Link& link,
                                  const phy::PhySampler& s, util::Rng& rng) {
+  util::KeyedNormals jitter(rng.raw());
   SweepResult best;
   best.snr_db = -1e9;
   const int n = link.tx().codebook().size();
   for (array::BeamId tb = 0; tb < n; ++tb) {
     for (array::BeamId rb = 0; rb < link.rx().codebook().size(); ++rb) {
-      probe_into(best, link, s, tb, rb, rng);
+      probe_into(best, link, s, tb, rb, jitter);
     }
+  }
+  return best;
+}
+
+SweepResult reference_tx_phase(const channel::Link& link,
+                               const phy::PhySampler& s,
+                               util::KeyedNormals& jitter) {
+  SweepResult best;
+  best.snr_db = -1e9;
+  best.rx_beam = array::kQuasiOmni;
+  for (array::BeamId tb = 0; tb < link.tx().codebook().size(); ++tb) {
+    probe_into(best, link, s, tb, array::kQuasiOmni, jitter);
   }
   return best;
 }
 
 SweepResult reference_sls_tx_only(const channel::Link& link,
                                   const phy::PhySampler& s, util::Rng& rng) {
-  SweepResult best;
-  best.snr_db = -1e9;
-  best.rx_beam = array::kQuasiOmni;
-  for (array::BeamId tb = 0; tb < link.tx().codebook().size(); ++tb) {
-    probe_into(best, link, s, tb, array::kQuasiOmni, rng);
-  }
-  return best;
+  util::KeyedNormals jitter(rng.raw());
+  return reference_tx_phase(link, s, jitter);
 }
 
 SweepResult reference_sls_80211ad(const channel::Link& link,
                                   const phy::PhySampler& s, util::Rng& rng) {
-  SweepResult best = reference_sls_tx_only(link, s, rng);
+  util::KeyedNormals jitter(rng.raw());
+  SweepResult best = reference_tx_phase(link, s, jitter);
   SweepResult rx_phase;
   rx_phase.snr_db = -1e9;
   rx_phase.rx_beam = 0;
   for (array::BeamId rb = 0; rb < link.rx().codebook().size(); ++rb) {
-    probe_into(rx_phase, link, s, best.tx_beam, rb, rng);
+    probe_into(rx_phase, link, s, best.tx_beam, rb, jitter);
   }
   best.rx_beam = rx_phase.rx_beam;
   best.snr_db = rx_phase.snr_db;
@@ -342,13 +357,14 @@ SweepResult reference_sls_80211ad(const channel::Link& link,
 SweepResult reference_coarse_fine(const channel::Link& link,
                                   const phy::PhySampler& s, util::Rng& rng,
                                   int stride, int radius) {
+  util::KeyedNormals jitter(rng.raw());
   SweepResult best;
   best.snr_db = -1e9;
   const int n_tx = link.tx().codebook().size();
   const int n_rx = link.rx().codebook().size();
   for (array::BeamId tb = stride / 2; tb < n_tx; tb += stride) {
     for (array::BeamId rb = stride / 2; rb < n_rx; rb += stride) {
-      probe_into(best, link, s, tb, rb, rng);
+      probe_into(best, link, s, tb, rb, jitter);
     }
   }
   const array::BeamId ctx = best.tx_beam;
@@ -358,7 +374,23 @@ SweepResult reference_coarse_fine(const channel::Link& link,
     for (array::BeamId rb = std::max(0, crx - radius);
          rb <= std::min(n_rx - 1, crx + radius); ++rb) {
       if (tb == ctx && rb == crx) continue;
-      probe_into(best, link, s, tb, rb, rng);
+      probe_into(best, link, s, tb, rb, jitter);
+    }
+  }
+  return best;
+}
+
+SweepResult reference_failover(const channel::Link& link,
+                               const phy::PhySampler& s, util::Rng& rng,
+                               array::BeamId primary_tx, int min_gap) {
+  util::KeyedNormals jitter(rng.raw());
+  SweepResult best;
+  best.snr_db = -1e9;
+  best.rx_beam = 0;
+  for (array::BeamId tb = 0; tb < link.tx().codebook().size(); ++tb) {
+    if (std::abs(tb - primary_tx) < min_gap) continue;
+    for (array::BeamId rb = 0; rb < link.rx().codebook().size(); ++rb) {
+      probe_into(best, link, s, tb, rb, jitter);
     }
   }
   return best;
@@ -372,6 +404,31 @@ void expect_same_sweep(const SweepResult& got, const SweepResult& want) {
   EXPECT_EQ(got.measurements, want.measurements);
 }
 
+using Sweep = std::function<SweepResult(util::Rng&)>;
+
+// The four sweep kinds (coarse-fine at two strides) and the failover scan
+// around Tx sector 0, as run by the trainer.
+std::vector<std::pair<std::string, Sweep>> trainer_sweeps(
+    const BeamTrainer& trainer, const channel::Link& link,
+    const channel::BeamGrid& grid, const phy::PhySampler& sampler) {
+  return {
+      {"exhaustive",
+       [&](util::Rng& r) { return trainer.exhaustive(link, sampler, r); }},
+      {"sls_80211ad",
+       [&](util::Rng& r) { return trainer.sls_80211ad(link, sampler, r); }},
+      {"sls_tx_only",
+       [&](util::Rng& r) { return trainer.sls_tx_only(link, sampler, r); }},
+      {"coarse_fine 5/2",
+       [&](util::Rng& r) { return trainer.coarse_fine(link, sampler, r); }},
+      {"coarse_fine 7/3",
+       [&](util::Rng& r) {
+         return trainer.coarse_fine(link, sampler, r, 7, 3);
+       }},
+      {"failover",
+       [&](util::Rng& r) { return trainer.failover(grid, sampler, r, 0, 3); }},
+  };
+}
+
 // Each sweep, run on the trainer and on the reference from the same seed,
 // must select the same pair with the same SNR bits and leave the Rng in the
 // same state.
@@ -379,31 +436,26 @@ void expect_sweeps_match_reference(const channel::Link& link,
                                    const phy::PhySampler& sampler,
                                    std::uint64_t seed) {
   const BeamTrainer trainer;
-  using Sweep = std::function<SweepResult(util::Rng&)>;
-  const std::pair<Sweep, Sweep> cases[] = {
-      {[&](util::Rng& r) { return trainer.exhaustive(link, sampler, r); },
-       [&](util::Rng& r) { return reference_exhaustive(link, sampler, r); }},
-      {[&](util::Rng& r) { return trainer.sls_80211ad(link, sampler, r); },
-       [&](util::Rng& r) { return reference_sls_80211ad(link, sampler, r); }},
-      {[&](util::Rng& r) { return trainer.sls_tx_only(link, sampler, r); },
-       [&](util::Rng& r) { return reference_sls_tx_only(link, sampler, r); }},
-      {[&](util::Rng& r) { return trainer.coarse_fine(link, sampler, r); },
-       [&](util::Rng& r) {
-         return reference_coarse_fine(link, sampler, r, 5, 2);
-       }},
-      {[&](util::Rng& r) {
-         return trainer.coarse_fine(link, sampler, r, 7, 3);
-       },
-       [&](util::Rng& r) {
-         return reference_coarse_fine(link, sampler, r, 7, 3);
-       }},
+  const channel::BeamGrid grid(link);
+  const Sweep references[] = {
+      [&](util::Rng& r) { return reference_exhaustive(link, sampler, r); },
+      [&](util::Rng& r) { return reference_sls_80211ad(link, sampler, r); },
+      [&](util::Rng& r) { return reference_sls_tx_only(link, sampler, r); },
+      [&](util::Rng& r) {
+        return reference_coarse_fine(link, sampler, r, 5, 2);
+      },
+      [&](util::Rng& r) {
+        return reference_coarse_fine(link, sampler, r, 7, 3);
+      },
+      [&](util::Rng& r) { return reference_failover(link, sampler, r, 0, 3); },
   };
-  int index = 0;
-  for (const auto& [sweep, reference] : cases) {
-    SCOPED_TRACE("sweep " + std::to_string(index++));
+  const auto sweeps = trainer_sweeps(trainer, link, grid, sampler);
+  ASSERT_EQ(sweeps.size(), std::size(references));
+  for (std::size_t i = 0; i < sweeps.size(); ++i) {
+    SCOPED_TRACE(sweeps[i].first);
     util::Rng got_rng(seed);
     util::Rng want_rng(seed);
-    expect_same_sweep(sweep(got_rng), reference(want_rng));
+    expect_same_sweep(sweeps[i].second(got_rng), references[i](want_rng));
     EXPECT_TRUE(got_rng.engine() == want_rng.engine());
   }
 }
@@ -443,7 +495,7 @@ TEST_F(TrainerFixture, GridSweepsMatchPerPairReference) {
 }
 
 TEST_F(TrainerFixture, GridOverloadEqualsLinkOverload) {
-  // A caller-built grid (the collector's failover path) sweeps exactly like
+  // A caller-built grid (the collector's initial sweep) sweeps exactly like
   // the Link overload's per-thread scratch grid.
   const BeamTrainer trainer;
   const channel::BeamGrid grid(link);
@@ -451,9 +503,43 @@ TEST_F(TrainerFixture, GridOverloadEqualsLinkOverload) {
   expect_same_sweep(trainer.exhaustive(grid, sampler, a),
                     trainer.exhaustive(link, sampler, b));
   EXPECT_TRUE(a.engine() == b.engine());
+  util::KeyedNormals got(a.raw()), want(b.raw());
   for (array::BeamId rb = array::kQuasiOmni; rb < codebook.size(); ++rb) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(sampler.measure_snr_db(grid, 3, rb, a)),
-              std::bit_cast<std::uint64_t>(sampler.measure_snr_db(link, 3, rb, b)));
+    EXPECT_EQ(
+        std::bit_cast<std::uint64_t>(sampler.measure_snr_db(grid, 3, rb, got)),
+        std::bit_cast<std::uint64_t>(
+            reference_probe(link, sampler, 3, rb, want)));
+  }
+}
+
+// ---------- the sweep draw contract ----------
+
+// Every sweep makes exactly one link-stream draw (its jitter key), however
+// many probes it takes: the caller's Rng ends where one raw() leaves it.
+TEST(SweepDraws, EverySweepMakesOneLinkStreamDraw) {
+  const phy::McsTable table;
+  const phy::ErrorModel em(&table);
+  const phy::PhySampler sampler(&em);
+  const env::Environment room("box", env::rectangle_walls(20, 10, 8, 8, 8, 8));
+  for (const int beams : {5, 25}) {
+    array::CodebookConfig cfg;
+    cfg.num_beams = beams;
+    const array::Codebook codebook(cfg);
+    array::PhasedArray tx({2, 5}, 0.0, &codebook);
+    array::PhasedArray rx({18, 5}, 180.0, &codebook);
+    const channel::Link link(&room, &tx, &rx);
+    const channel::BeamGrid grid(link);
+    const BeamTrainer trainer;
+    for (const auto& [name, sweep] :
+         trainer_sweeps(trainer, link, grid, sampler)) {
+      SCOPED_TRACE(name + " at " + std::to_string(beams) + " beams");
+      util::Rng swept(77);
+      util::Rng one_draw(77);
+      const SweepResult r = sweep(swept);
+      EXPECT_GT(r.measurements, 1);
+      one_draw.raw();
+      EXPECT_TRUE(swept.engine() == one_draw.engine());
+    }
   }
 }
 
