@@ -758,6 +758,29 @@ void BM_Sls80211ad(benchmark::State& state) {
 }
 BENCHMARK(BM_Sls80211ad)->Unit(benchmark::kMicrosecond);
 
+// One per-pair received-power query on the serving pair (the sweep's
+// winner) in the lobby: the per-frame channel cost that observe_scalars,
+// observe_rate and the frame ACK pay, three dB-to-linear conversions per
+// path.
+void BM_LinkRxPower(benchmark::State& state) {
+  auto& f = Fixture::get();
+  const env::Environment lobby = env::make_lobby();
+  const array::Codebook cb;
+  array::PhasedArray tx({2, 6}, 0, &cb);
+  array::PhasedArray rx({14, 8}, 180, &cb);
+  const channel::Link link(&lobby, &tx, &rx);
+  const phy::PhySampler sampler(&f.em);
+  util::Rng rng(7);
+  const mac::SweepResult serving =
+      mac::BeamTrainer().exhaustive(link, sampler, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        link.rx_power_dbm(serving.tx_beam, serving.rx_beam));
+  }
+  state.counters["paths"] = static_cast<double>(link.paths().size());
+}
+BENCHMARK(BM_LinkRxPower);
+
 // 256-point PDP -> CSI magnitude spectrum, the util/fft.cpp hot path of
 // extract_features' "FFT PDP Similarity".
 void BM_Fft256(benchmark::State& state) {

@@ -3,14 +3,19 @@
 // layers.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "channel/link.h"
 #include "channel/path_tracer.h"
 #include "env/registry.h"
+#include "mac/beam_training.h"
 #include "ml/decision_tree.h"
 #include "ml/random_forest.h"
 #include "phy/error_model.h"
+#include "phy/sampler.h"
 #include "trace/ground_truth.h"
 #include "test_helpers.h"
 #include "util/rng.h"
@@ -96,6 +101,69 @@ TEST_P(SeededProperty, BlockersNeverAddPower) {
     const double after = link.rx_power_dbm(tb, rb);
     EXPECT_LE(after, before + 1e-9);
     box.clear_blockers();
+  }
+}
+
+// --- mac: every sweep kind, in every registry room under any mix of a LOS
+// blocker, a bursty interferer and a fade, picks beams inside the codebook
+// (quasi-omni only as the Rx beam of the Tx-only sweep), takes exactly its
+// probe budget and reports a finite SNR.
+TEST_P(SeededProperty, SweepsStayInsideTheCodebook) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) + 350);
+  const phy::McsTable table;
+  const phy::ErrorModel em(&table);
+  const phy::PhySampler sampler(&em);
+  const array::Codebook cb;
+  const int n = cb.size();
+  const mac::BeamTrainer trainer;
+  std::vector<env::Environment> rooms = env::training_environments();
+  for (env::Environment& e : env::testing_environments()) {
+    rooms.push_back(std::move(e));
+  }
+  for (env::Environment& room : rooms) {
+    const env::Environment::BoundingBox bb = room.bounding_box();
+    const auto random_point = [&] {
+      return room.clamp_inside({rng.uniform(bb.min.x, bb.max.x),
+                                rng.uniform(bb.min.y, bb.max.y)});
+    };
+    const geom::Vec2 tx_pos = random_point();
+    const geom::Vec2 rx_pos = random_point();
+    array::PhasedArray tx(tx_pos, rng.uniform(-180.0, 180.0), &cb);
+    array::PhasedArray rx(rx_pos, rng.uniform(-180.0, 180.0), &cb);
+    for (int combo = 0; combo < 8; ++combo) {
+      SCOPED_TRACE(room.name() + " combo " + std::to_string(combo));
+      room.clear_blockers();
+      if ((combo & 1) != 0) {
+        room.add_blocker({(tx_pos + rx_pos) * 0.5, 0.3, 25.0});
+      }
+      channel::Link link(&room, &tx, &rx);
+      if ((combo & 2) != 0) {
+        link.set_interferer(channel::Interferer{
+            random_point(), rng.uniform(10.0, 40.0), rng.uniform(0.2, 0.8)});
+      }
+      if ((combo & 4) != 0) link.set_fade_db(rng.gaussian(0.0, 3.0));
+
+      const auto expect_valid = [&](const mac::SweepResult& r,
+                                    bool quasi_omni_rx, int probes) {
+        EXPECT_GE(r.tx_beam, 0);
+        EXPECT_LT(r.tx_beam, n);
+        if (quasi_omni_rx) {
+          EXPECT_EQ(r.rx_beam, array::kQuasiOmni);
+        } else {
+          EXPECT_GE(r.rx_beam, 0);
+          EXPECT_LT(r.rx_beam, n);
+        }
+        EXPECT_EQ(r.measurements, probes);
+        EXPECT_TRUE(std::isfinite(r.snr_db));
+      };
+      expect_valid(trainer.exhaustive(link, sampler, rng), false, n * n);
+      expect_valid(trainer.sls_80211ad(link, sampler, rng), false, n + n);
+      expect_valid(trainer.sls_tx_only(link, sampler, rng), true, n);
+      // Stride 5 puts the 25 coarse probes on beams 2, 7, ..., 22, so the
+      // radius-2 refinement window is never clipped: 5 x 5 - 1 more.
+      expect_valid(trainer.coarse_fine(link, sampler, rng), false, 25 + 24);
+    }
+    room.clear_blockers();
   }
 }
 
