@@ -52,11 +52,10 @@ int main() {
   std::printf("\nA-BFT contention (dense deployments, Sec. 8.2 outlook):\n");
   util::Table c({"contending stations", "expected BIs to train",
                  "expected wait (ms)"});
-  const mac::BeaconIntervalConfig bi;
   for (int n : {1, 2, 4, 8, 12}) {
-    const double bis = mac::expected_abft_intervals(n, bi);
+    const double bis = mac::expected_abft_intervals(n);
     c.add_row({std::to_string(n), util::format_double(bis, 2),
-               util::format_double(bis * bi.bi_ms, 0)});
+               util::format_double(bis * mac::kBeaconIntervalMs, 0)});
   }
   std::printf("%s", c.to_string().c_str());
   std::printf(

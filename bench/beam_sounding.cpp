@@ -25,7 +25,6 @@ int main() {
   const sim::EventSimulator simulator(&classifier);
   sim::EventParams p;
   p.ba_overhead_ms = 5.0;
-  p.rule = gt;
 
   struct Bucket {
     const char* name;

@@ -42,7 +42,6 @@ int main() {
         p.fat_ms = fat;
         p.ba_overhead_ms = ba;
         p.flow_ms = flow_ms;
-        p.rule = gt;
         std::map<core::Strategy, std::vector<double>> gaps;
         std::map<core::Strategy, int> zero_gap;
         for (const trace::CaseRecord& rec : wb.testing.records) {

@@ -34,7 +34,6 @@ int main() {
       p.fat_ms = fat;
       p.ba_overhead_ms = ba;
       p.flow_ms = 1000.0;
-      p.rule = gt;
 
       char title[128];
       std::snprintf(title, sizeof(title), "BA overhead %.1f ms, FAT %.0f ms",

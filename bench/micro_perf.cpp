@@ -812,7 +812,6 @@ void BM_SimulatedEvent(benchmark::State& state) {
   auto& f = Fixture::get();
   const sim::EventSimulator simulator(&f.classifier);
   sim::EventParams p;
-  p.rule = f.gt;
   util::Rng rng(7);
   const trace::CaseRecord& rec = f.training.records.front();
   for (auto _ : state) {

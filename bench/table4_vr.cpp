@@ -29,7 +29,7 @@ int main() {
   // (settled throughput above the demand after COTS scaling), so stalls
   // measure *adaptation* quality, not raw capacity.
   const double min_tput =
-      vr_cfg.bitrate_mbps / vr_cfg.cots_scale * 1.15;
+      sim::kVrBitrateMbps / vr_cfg.cots_scale * 1.15;
   sim::RecordPools pools;
   for (const trace::CaseRecord& rec : wb.testing.records) {
     if (rec.impairment != trace::Impairment::kDisplacement) continue;
@@ -57,7 +57,6 @@ int main() {
       sim::EventParams params;
       params.fat_ms = fat;
       params.ba_overhead_ms = ba;
-      params.rule = gt;
 
       std::vector<std::string> row;
       char label[64];

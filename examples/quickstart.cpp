@@ -62,7 +62,6 @@ int main() {
   }
   sim::EventSimulator simulator(&classifier);
   sim::EventParams params;
-  params.rule = gt;
   std::printf("\nreplaying a collected blockage event (1 s flow):\n");
   for (core::Strategy s : core::kAllStrategies) {
     const sim::EventResult r =

@@ -32,16 +32,15 @@ int main() {
     if (rec.impairment != trace::Impairment::kDisplacement) continue;
     double best = 0.0;
     for (double t : rec.new_best.throughput_mbps) best = std::max(best, t);
-    if (best * vr_cfg.cots_scale >= vr_cfg.bitrate_mbps * 1.15) {
+    if (best * vr_cfg.cots_scale >= sim::kVrBitrateMbps * 1.15) {
       pools.displacement.push_back(&rec);
     }
   }
   std::printf("VR-capable mobility cases: %zu\n", pools.displacement.size());
 
   sim::EventParams params;
-  params.rule = gt;
   std::printf("\n30 s of 8K VR at 60 FPS (%.0f Mbps demand), 10 play-throughs:\n",
-              vr_cfg.bitrate_mbps);
+              sim::kVrBitrateMbps);
   std::printf("%-14s %-16s %-14s\n", "strategy", "avg stalls", "avg stall ms");
   for (core::Strategy s : core::kAllStrategies) {
     double stalls = 0.0, stall_ms = 0.0;

@@ -12,7 +12,7 @@ Link::Link(const env::Environment* env, array::PhasedArray* tx,
       tx_(tx),
       rx_(rx),
       cfg_(cfg),
-      thermal_floor_dbm_(thermal_noise_floor_dbm(cfg)) {
+      thermal_floor_dbm_(thermal_noise_floor_dbm()) {
   if (!env_ || !tx_ || !rx_) throw std::invalid_argument("null link member");
   refresh();
 }
@@ -43,7 +43,7 @@ PathLoss Link::path_loss(const Path& p) const {
   for (std::size_t i = 0; i + 1 < p.points.size(); ++i) {
     loss.blockage_db += env_->blockage_loss_db(p.points[i], p.points[i + 1]);
   }
-  loss.path_loss_db = path_loss_db(cfg_, p.length_m);
+  loss.path_loss_db = path_loss_db(p.length_m);
   loss.reflection_loss_db = p.reflection_loss_db;
   return loss;
 }
@@ -62,7 +62,7 @@ double Link::interference_power_dbm(array::BeamId rx_beam) const {
   for (const Path& p : interferer_paths_) {
     const double power = interferer_->eirp_dbm +
                          rx_->gain_dbi(rx_beam, p.aoa_deg) -
-                         path_loss_db(cfg_, p.length_m) - p.reflection_loss_db;
+                         path_loss_db(p.length_m) - p.reflection_loss_db;
     total_mw += libra::util::dbm_to_mw(power);
   }
   if (total_mw <= 0.0) return kNoSignalDbm;

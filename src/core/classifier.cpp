@@ -48,9 +48,6 @@ LibraClassifier::LibraClassifier(LibraClassifierConfig cfg)
   require(cfg_.window_snr_jitter_db >= 0.0 &&
               std::isfinite(cfg_.window_snr_jitter_db),
           "window_snr_jitter_db must be finite and >= 0");
-  require(cfg_.window_noise_jitter_db >= 0.0 &&
-              std::isfinite(cfg_.window_noise_jitter_db),
-          "window_noise_jitter_db must be finite and >= 0");
   require(cfg_.window_cdr_jitter >= 0.0 && std::isfinite(cfg_.window_cdr_jitter),
           "window_cdr_jitter must be finite and >= 0");
   // Values > 1 are a deliberate "demote every adaptation to NA" setting
@@ -123,7 +120,7 @@ trace::FeatureVector LibraClassifier::add_window_noise(
     const trace::FeatureVector& features, util::Rng& rng) const {
   trace::FeatureVector noisy = features;
   noisy.v[0] += rng.gaussian(0.0, cfg_.window_snr_jitter_db);
-  noisy.v[2] += rng.gaussian(0.0, cfg_.window_noise_jitter_db);
+  noisy.v[2] += rng.gaussian(0.0, kWindowNoiseJitterDb);
   noisy.v[5] += rng.gaussian(0.0, cfg_.window_cdr_jitter);
   return noisy;
 }

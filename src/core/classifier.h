@@ -27,6 +27,9 @@ class DecisionBackend;  // core/decision_backend.h
 // the forest (and without consuming window-noise draws for that row).
 enum class NonFiniteFeaturePolicy { kReject, kFallbackNA };
 
+// Observation-window noise on the noise-level feature (dB sigma).
+inline constexpr double kWindowNoiseJitterDb = 1.06;
+
 struct LibraClassifierConfig {
   // forest.num_threads governs training/batch-inference parallelism:
   // 0 = hardware_concurrency(), 1 = serial legacy behavior. The trained
@@ -37,9 +40,9 @@ struct LibraClassifierConfig {
   double no_ack_ba_overhead_threshold_ms = 10.0;
   // Observation-window feature noise: LiBRA decides on 40 ms windows, which
   // are noisier than the 1 s training traces (Sec. 7, issue 2). Sigmas are
-  // the per-frame jitters scaled by 1/sqrt(window frames).
+  // the per-frame jitters scaled by 1/sqrt(window frames); the noise-level
+  // sigma is kWindowNoiseJitterDb.
   double window_snr_jitter_db = 0.28;
-  double window_noise_jitter_db = 1.06;
   double window_cdr_jitter = 0.011;
   // Confidence gate: adaptation (BA/RA) verdicts with a vote fraction below
   // this are demoted to No-Adaptation -- a misprediction costs a sweep or a

@@ -8,7 +8,7 @@
 
 #include "core/decision_backend.h"
 #include "obs/metrics.h"
-#include "util/stats.h"
+#include "trace/ground_truth.h"
 
 namespace libra::core {
 
@@ -69,17 +69,13 @@ LinkController::LinkController(channel::Link* link,
       error_model_(error_model),
       cfg_(cfg),
       sampler_(error_model),
-      ack_model_(error_model, cfg.ack),
-      up_prober_(0, cfg.up_prober) {
+      ack_model_(error_model),
+      up_prober_(0) {
   if (!link_ || !error_model_) throw std::invalid_argument("null dependency");
   if (!(cfg_.fat_ms > 0.0)) {
     throw std::invalid_argument("ControllerConfig: fat_ms must be > 0, got " +
                                 std::to_string(cfg_.fat_ms));
   }
-}
-
-bool LinkController::is_working(double cdr, double tput_mbps) const {
-  return cdr > cfg_.min_cdr && tput_mbps > cfg_.min_tput_mbps;
 }
 
 void LinkController::run_ba(util::Rng& rng) {
@@ -93,7 +89,7 @@ void LinkController::run_ba(util::Rng& rng) {
     tx_beam_ = sweep.tx_beam;
     rx_beam_ = sweep.rx_beam;
   }
-  t_ms_ += cfg_.ba_overhead_ms;
+  t_ms_ += kBaOverheadMs;
 }
 
 bool LinkController::classifier_faulted(double t_ms) {
@@ -103,7 +99,8 @@ bool LinkController::classifier_faulted(double t_ms) {
 
 trace::Action LinkController::missing_ack_fallback_action(
     const phy::PhyObservation& obs) const {
-  return (persistent_ack_loss() || !is_working(obs.cdr, obs.throughput_mbps))
+  return (persistent_ack_loss() ||
+          !trace::is_working(obs.cdr, obs.throughput_mbps))
              ? trace::Action::kRA
              : trace::Action::kNA;
 }
@@ -132,7 +129,7 @@ void LinkController::start(util::Rng& rng) {
   for (phy::McsIndex m = top; m >= 0; --m) {
     const phy::RateObservation obs =
         sampler_.observe_rate(*link_, tx_beam_, rx_beam_, m, rng);
-    if (is_working(obs.cdr, obs.throughput_mbps) &&
+    if (trace::is_working(obs.cdr, obs.throughput_mbps) &&
         obs.throughput_mbps > best_tput) {
       best_tput = obs.throughput_mbps;
       best = m;
@@ -163,21 +160,8 @@ trace::FeatureVector LinkController::features_against_baseline(
         "features_against_baseline: the observation's PDP is not "
         "materialized");
   }
-  const phy::PhyObservation& obs = request.obs;
-  trace::FeatureVector f;
-  if (!baseline_) return f;
-  f.v[0] = baseline_->snr_db - obs.snr_db;
-  if (baseline_->tof_ns && obs.tof_ns) {
-    f.v[1] = *baseline_->tof_ns - *obs.tof_ns;
-  } else {
-    f.v[1] = trace::kTofInfinity;
-  }
-  f.v[2] = obs.noise_dbm - baseline_->noise_dbm;
-  f.v[3] = trace::aligned_pdp_similarity(baseline_->pdp, obs.pdp);
-  f.v[4] = util::pearson(baseline_->csi, obs.csi);
-  f.v[5] = obs.cdr;
-  f.v[6] = static_cast<double>(mcs_);
-  return f;
+  if (!baseline_) return {};
+  return trace::feature_row(*baseline_, request.obs, request.obs.cdr, mcs_);
 }
 
 DecisionRequest LinkController::observe(util::Rng& rng) {
@@ -251,13 +235,13 @@ DecisionRequest LinkController::observe(util::Rng& rng) {
   }
   report.duration_ms = frame_ms;
   t_ms_ += frame_ms;
-  ack_loss_ewma_ = (1.0 - cfg_.ack_loss_ewma_weight) * ack_loss_ewma_ +
-                   cfg_.ack_loss_ewma_weight * (report.ack ? 0.0 : 1.0);
+  ack_loss_ewma_ = (1.0 - kAckLossEwmaWeight) * ack_loss_ewma_ +
+                   kAckLossEwmaWeight * (report.ack ? 0.0 : 1.0);
 
   if (walking_) {
     // Evaluate the probe we just sent; the walk consumes the frame, no
     // policy decision is due.
-    if (is_working(obs.cdr, obs.throughput_mbps) &&
+    if (trace::is_working(obs.cdr, obs.throughput_mbps) &&
         obs.throughput_mbps > walk_best_tput_) {
       walk_best_tput_ = obs.throughput_mbps;
       walk_best_mcs_ = frame_mcs;
@@ -363,10 +347,7 @@ void LinkController::apply(trace::Action verdict, DecisionRequest& request,
         view.cdr[cur + 1] = up.cdr;
         view.throughput_mbps[cur + 1] = up.throughput_mbps;
       }
-      trace::GroundTruthConfig rule;
-      rule.min_tput_mbps = cfg_.min_tput_mbps;
-      rule.min_cdr = cfg_.min_cdr;
-      up_prober_.on_frame(view, rule);
+      up_prober_.on_frame(view);
       mcs_ = up_prober_.current();
       break;
     }
@@ -401,15 +382,15 @@ void LibraController::plan(DecisionRequest& request, util::Rng& rng) {
   if (persistent_ack_loss()) {
     // Missing ACKs: no fresh PHY metrics, the distilled rule fires.
     verdict_counters().no_ack_fallbacks.inc();
-    holdoff_frames_ = cfg_.post_adapt_holdoff_frames;
-    request.precomputed = classifier_->no_ack_action(mcs_, cfg_.ba_overhead_ms);
+    holdoff_frames_ = kPostAdaptHoldoffFrames;
+    request.precomputed = classifier_->no_ack_action(mcs_, kBaOverheadMs);
     return;
   }
   if (holdoff_frames_ > 0) {
     --holdoff_frames_;
     return;  // precomputed stays kNA
   }
-  if (++frames_since_decision_ < cfg_.decision_period_frames) {
+  if (++frames_since_decision_ < kDecisionPeriodFrames) {
     return;
   }
   frames_since_decision_ = 0;
@@ -461,7 +442,7 @@ bool LibraController::backend_unreachable(double t_ms) {
 void LibraController::note_verdict(trace::Action verdict,
                                    const DecisionRequest& request) {
   if (request.needs_inference() && verdict != trace::Action::kNA) {
-    holdoff_frames_ = cfg_.post_adapt_holdoff_frames;
+    holdoff_frames_ = kPostAdaptHoldoffFrames;
   }
 }
 
@@ -477,7 +458,7 @@ void RaFirstController::plan(DecisionRequest& request, util::Rng&) {
 
 void BaFirstController::plan(DecisionRequest& request, util::Rng&) {
   if (persistent_ack_loss() ||
-      !is_working(request.obs.cdr, request.obs.throughput_mbps)) {
+      !trace::is_working(request.obs.cdr, request.obs.throughput_mbps)) {
     request.precomputed = trace::Action::kBA;
   }
 }

@@ -41,25 +41,23 @@ namespace libra::core {
 
 struct ControllerConfig {
   double fat_ms = 10.0;            // one aggregated frame per step
-  double ba_overhead_ms = 5.0;     // charged per sector sweep
-  int decision_period_frames = 2;  // LiBRA decides every other frame
-  double min_tput_mbps = 150.0;    // working-MCS rule (Sec. 5.2)
-  double min_cdr = 0.10;
-  // Adaptation fires on *persistent* Block-ACK loss, tracked as an EWMA of
-  // the per-frame loss indicator: isolated misses (one interference burst,
-  // one deep fade) are retried, a dead link crosses the threshold within a
-  // handful of frames. With weight 0.3, a full outage crosses 0.9 after
-  // ~7 frames while a 50%-duty jammer saturates at 0.5 and never triggers.
-  double ack_loss_ewma_weight = 0.3;
-  double ack_loss_trigger = 0.9;
-  // Hysteresis: after an adaptation, classifier decisions are suppressed
-  // for this many frames (persistent ACK loss still reacts). Prevents
-  // observation-window noise from re-triggering on the state the link just
-  // settled into.
-  int post_adapt_holdoff_frames = 10;
-  UpProberConfig up_prober{};
-  mac::AckModelConfig ack{};
 };
+
+inline constexpr double kBaOverheadMs = 5.0;  // charged per sector sweep
+// LiBRA decides every other frame.
+inline constexpr int kDecisionPeriodFrames = 2;
+// Adaptation fires on *persistent* Block-ACK loss, tracked as an EWMA of
+// the per-frame loss indicator: isolated misses (one interference burst,
+// one deep fade) are retried, a dead link crosses the threshold within a
+// handful of frames. With weight 0.3, a full outage crosses 0.9 after
+// ~7 frames while a 50%-duty jammer saturates at 0.5 and never triggers.
+inline constexpr double kAckLossEwmaWeight = 0.3;
+inline constexpr double kAckLossTrigger = 0.9;
+// Hysteresis: after an adaptation, classifier decisions are suppressed for
+// this many frames (persistent ACK loss still reacts). Prevents
+// observation-window noise from re-triggering on the state the link just
+// settled into.
+inline constexpr int kPostAdaptHoldoffFrames = 10;
 
 // What one transmitted frame produced.
 struct FrameReport {
@@ -161,7 +159,6 @@ class LinkController {
   // Enter the downward RA walk starting at the current MCS.
   void begin_ra_walk();
 
-  bool is_working(double cdr, double tput_mbps) const;
   // Degradation ladder rung 2 trigger: the classifier is unavailable this
   // frame (an injected outage/timeout window).
   bool classifier_faulted(double t_ms);
@@ -211,7 +208,7 @@ class LinkController {
   std::optional<phy::PhyObservation> last_clean_obs_;
 
   bool persistent_ack_loss() const {
-    return ack_loss_ewma_ >= cfg_.ack_loss_trigger;
+    return ack_loss_ewma_ >= kAckLossTrigger;
   }
 };
 

@@ -14,9 +14,9 @@ CotsDevice::CotsDevice(channel::Link* link, const phy::ErrorModel* error_model,
 }
 
 double CotsDevice::effective_snr(util::Rng& rng) {
-  fade_db_ = cfg_.fade_corr * fade_db_ +
-             std::sqrt(1.0 - cfg_.fade_corr * cfg_.fade_corr) *
-                 rng.gaussian(0.0, cfg_.fade_sigma_db);
+  fade_db_ = kCotsFadeCorr * fade_db_ +
+             std::sqrt(1.0 - kCotsFadeCorr * kCotsFadeCorr) *
+                 rng.gaussian(0.0, kCotsFadeSigmaDb);
   return link_->snr_db(tx_sector_, array::kQuasiOmni) + fade_db_;
 }
 
@@ -25,7 +25,7 @@ void CotsDevice::run_sector_sweep(util::Rng& rng) {
   double best_snr = -1e9;
   for (array::BeamId s = 0; s < link_->tx().codebook().size(); ++s) {
     const double snr = link_->snr_db(s, array::kQuasiOmni) + fade_db_ +
-                       rng.gaussian(0.0, cfg_.sweep_jitter_db);
+                       rng.gaussian(0.0, kCotsSweepJitterDb);
     if (snr > best_snr) {
       best_snr = snr;
       best = s;
@@ -36,7 +36,7 @@ void CotsDevice::run_sector_sweep(util::Rng& rng) {
   // robust MCS and climbs back up -- the ramp is the dominant cost of a
   // spurious sweep.
   mcs_ = 0;
-  t_ms_ += cfg_.sweep_duration_ms;
+  t_ms_ += kCotsSweepDurationMs;
 }
 
 void CotsDevice::associate(util::Rng& rng) { run_sector_sweep(rng); }
@@ -60,7 +60,7 @@ CotsFrameLog CotsDevice::step(util::Rng& rng) {
     // down instead.
     const double cdr = error_model_->expected_cdr(mcs_, snr);
     if (cfg_.ba_cdr_threshold > 0.0 && cdr < cfg_.ba_cdr_threshold) {
-      if (++low_cdr_frames_ >= cfg_.low_cdr_frames_to_ba) {
+      if (++low_cdr_frames_ >= kCotsLowCdrFramesToBa) {
         low_cdr_frames_ = 0;
         if (cfg_.ba_enabled) {
           run_sector_sweep(rng);
@@ -76,7 +76,7 @@ CotsFrameLog CotsDevice::step(util::Rng& rng) {
     // frame at the next MCS is ACKed -- a Block ACK needs only one subframe
     // to decode, so devices overshoot the sustainable MCS and oscillate.
     if (!log.ba_triggered &&
-        ++frames_since_up_probe_ >= cfg_.up_probe_interval_frames &&
+        ++frames_since_up_probe_ >= kCotsUpProbeIntervalFrames &&
         mcs_ < error_model_->table().max_mcs()) {
       frames_since_up_probe_ = 0;
       if (ack_model_.ack_received(mcs_ + 1, snr, rng)) ++mcs_;
@@ -99,7 +99,7 @@ CotsFrameLog CotsDevice::step(util::Rng& rng) {
     }
     frames_since_up_probe_ = 0;
   }
-  t_ms_ += cfg_.frame_ms;
+  t_ms_ += kCotsFrameMs;
   log.tx_sector = tx_sector_;
   log.mcs = mcs_;
   return log;

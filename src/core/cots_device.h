@@ -18,16 +18,19 @@
 
 namespace libra::core {
 
+inline constexpr double kCotsFrameMs = 10.0;  // one AMPDU per step
+// Slow shadow-fading AR(1) process riding on the ray-traced SNR; COTS
+// links see 1-2 dB of slow variation even when nothing moves.
+inline constexpr double kCotsFadeSigmaDb = 1.8;
+inline constexpr double kCotsFadeCorr = 0.95;
+// Sweep probes are single SSW frames: noisy.
+inline constexpr double kCotsSweepJitterDb = 1.0;
+inline constexpr double kCotsSweepDurationMs = 2.0;
+inline constexpr int kCotsUpProbeIntervalFrames = 10;
+// Consecutive low-CDR frames before the SFER trigger fires.
+inline constexpr int kCotsLowCdrFramesToBa = 3;
+
 struct CotsDeviceConfig {
-  double frame_ms = 10.0;        // one AMPDU per step
-  // Slow shadow-fading AR(1) process riding on the ray-traced SNR; COTS
-  // links see 1-2 dB of slow variation even when nothing moves.
-  double fade_sigma_db = 1.8;
-  double fade_corr = 0.95;
-  // Sweep probes are single SSW frames: noisy.
-  double sweep_jitter_db = 1.0;
-  double sweep_duration_ms = 2.0;
-  int up_probe_interval_frames = 10;
   bool ba_enabled = true;
   // Vendor heterogeneity: 0 = trigger BA only after MCS 0 fails (the
   // Talon/laptop "RA first, BA last resort" heuristic); N > 0 = trigger BA
@@ -39,7 +42,6 @@ struct CotsDeviceConfig {
   // Block ACK itself arrives. 0 disables. Combined with the blind upward
   // probing this is what makes phones sweep in perfectly static scenarios.
   double ba_cdr_threshold = 0.0;
-  int low_cdr_frames_to_ba = 3;
 };
 
 struct CotsFrameLog {

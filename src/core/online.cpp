@@ -11,10 +11,7 @@ namespace {
 bool same_gt(const trace::GroundTruthConfig& a,
              const trace::GroundTruthConfig& b) {
   return a.alpha == b.alpha && a.fat_ms == b.fat_ms &&
-         a.ba_overhead_ms == b.ba_overhead_ms &&
-         a.min_tput_mbps == b.min_tput_mbps && a.min_cdr == b.min_cdr &&
-         a.na_tput_fraction == b.na_tput_fraction &&
-         a.tie_tolerance == b.tie_tolerance;
+         a.ba_overhead_ms == b.ba_overhead_ms;
 }
 }  // namespace
 

@@ -4,14 +4,13 @@
 
 namespace libra::core {
 
-RaWalk ra_repair_walk(const trace::PairTrace& t, phy::McsIndex start_mcs,
-                      const trace::GroundTruthConfig& rule) {
+RaWalk ra_repair_walk(const trace::PairTrace& t, phy::McsIndex start_mcs) {
   RaWalk walk;
   double best_tput = -1.0;
   for (phy::McsIndex m = start_mcs; m >= 0; --m) {
     walk.probes.push_back(m);
     const auto i = static_cast<std::size_t>(m);
-    const bool working = trace::is_working(t.cdr[i], t.throughput_mbps[i], rule);
+    const bool working = trace::is_working(t.cdr[i], t.throughput_mbps[i]);
     if (working && walk.first_working_probe < 0) {
       walk.first_working_probe = static_cast<int>(walk.probes.size()) - 1;
     }
@@ -29,34 +28,23 @@ RaWalk ra_repair_walk(const trace::PairTrace& t, phy::McsIndex start_mcs,
   return walk;
 }
 
-double cdr_ori(const phy::McsTable& table, phy::McsIndex current) {
-  if (current >= table.max_mcs()) return 1.0;  // nothing above to probe
-  const double ratio =
-      table.rate_mbps(current) / table.rate_mbps(current + 1);
-  const double p_mtl = 1.0 - ratio;
-  return 1.0 - p_mtl / 2.0;
-}
-
-UpProber::UpProber(phy::McsIndex current, UpProberConfig cfg)
-    : cfg_(cfg), current_(current), timer_(cfg.t0_frames) {}
+UpProber::UpProber(phy::McsIndex current)
+    : current_(current), timer_(kUpProbeT0Frames) {}
 
 void UpProber::reset(phy::McsIndex current) {
   current_ = current;
-  timer_ = cfg_.t0_frames;
+  timer_ = kUpProbeT0Frames;
   failed_probes_ = 0;
 }
 
-phy::McsIndex UpProber::on_frame(const trace::PairTrace& t,
-                                 const trace::GroundTruthConfig& rule) {
+phy::McsIndex UpProber::on_frame(const trace::PairTrace& t) {
   const auto max_mcs =
       static_cast<phy::McsIndex>(t.throughput_mbps.size()) - 1;
   if (current_ >= max_mcs) return current_;
   const auto cur = static_cast<std::size_t>(current_);
-  const double gate = cfg_.table ? cdr_ori(*cfg_.table, current_)
-                                 : cfg_.min_cdr_for_probe;
-  if (t.cdr[cur] < gate) {
+  if (t.cdr[cur] < kUpProbeMinCdr) {
     // Link not healthy enough to explore upward; hold.
-    timer_ = cfg_.t0_frames;
+    timer_ = kUpProbeT0Frames;
     return current_;
   }
   if (--timer_ > 0) return current_;
@@ -65,15 +53,15 @@ phy::McsIndex UpProber::on_frame(const trace::PairTrace& t,
   const phy::McsIndex probe = current_ + 1;
   const auto p = static_cast<std::size_t>(probe);
   const bool better =
-      trace::is_working(t.cdr[p], t.throughput_mbps[p], rule) &&
+      trace::is_working(t.cdr[p], t.throughput_mbps[p]) &&
       t.throughput_mbps[p] > t.throughput_mbps[cur];
   if (better) {
     current_ = probe;
     failed_probes_ = 0;
-    timer_ = cfg_.t0_frames;
+    timer_ = kUpProbeT0Frames;
   } else {
-    failed_probes_ = std::min(failed_probes_ + 1, cfg_.max_backoff_exponent);
-    timer_ = cfg_.t0_frames * (1 << failed_probes_);
+    failed_probes_ = std::min(failed_probes_ + 1, kUpProbeMaxBackoffExponent);
+    timer_ = kUpProbeT0Frames * (1 << failed_probes_);
   }
   return probe;  // the probe frame itself is sent at the probed MCS
 }

@@ -10,16 +10,14 @@
 
 namespace libra::mac {
 
-struct AckModelConfig {
-  // Number of independently CRC'd subframes whose joint failure loses the
-  // Block ACK. An AMPDU carries tens of MPDUs; the ACK itself is sent at a
-  // robust control rate, so data decode dominates.
-  int subframes = 32;
-};
+// Number of independently CRC'd subframes whose joint failure loses the
+// Block ACK. An AMPDU carries tens of MPDUs; the ACK itself is sent at a
+// robust control rate, so data decode dominates.
+inline constexpr int kAckSubframes = 32;
 
 class AckModel {
  public:
-  AckModel(const phy::ErrorModel* error_model, AckModelConfig cfg = {});
+  explicit AckModel(const phy::ErrorModel* error_model);
 
   // P(Block ACK received) for a frame at this MCS and SNR.
   double ack_probability(phy::McsIndex mcs, double snr_db) const;
@@ -28,7 +26,6 @@ class AckModel {
 
  private:
   const phy::ErrorModel* error_model_;  // non-owning
-  AckModelConfig cfg_;
 };
 
 }  // namespace libra::mac

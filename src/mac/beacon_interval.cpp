@@ -39,13 +39,12 @@ double exhaustive_duration_ms(int tx_sectors, int rx_sectors,
   return (sweep_us + timing.mbifs_us + timing.feedback_us) / 1000.0;
 }
 
-double expected_abft_intervals(int contenders,
-                               const BeaconIntervalConfig& bi) {
+double expected_abft_intervals(int contenders) {
   if (contenders < 1) throw std::invalid_argument("contenders < 1");
   if (contenders == 1) return 1.0;
   // A station succeeds in a BI if no other contender picked its slot:
   // p = (1 - 1/slots)^(contenders-1); geometric expectation 1/p.
-  const double p = std::pow(1.0 - 1.0 / bi.abft_slots, contenders - 1);
+  const double p = std::pow(1.0 - 1.0 / kAbftSlots, contenders - 1);
   return 1.0 / p;
 }
 

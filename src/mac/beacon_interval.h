@@ -21,11 +21,8 @@ struct SswTiming {
 
 // Beacon-interval structure: beam training opportunities occur in the BTI
 // (initiator sweep) and A-BFT (responder slots); data flows in the DTI.
-struct BeaconIntervalConfig {
-  double bi_ms = 102.4;         // default 802.11ad beacon interval
-  int abft_slots = 8;           // responder SSW slots per BI
-  int ssw_frames_per_slot = 16; // FSS: sweep frames per A-BFT slot
-};
+inline constexpr double kBeaconIntervalMs = 102.4;  // default 802.11ad BI
+inline constexpr int kAbftSlots = 8;  // responder SSW slots per BI
 
 // Number of sectors needed to cover `coverage_deg` with `beamwidth_deg`
 // beams (ceil).
@@ -47,7 +44,6 @@ double exhaustive_duration_ms(int tx_sectors, int rx_sectors,
 // How many beacon intervals a responder needs, in expectation, to complete
 // its A-BFT training when `contenders` stations pick among the slots
 // uniformly (collisions void a slot).
-double expected_abft_intervals(int contenders,
-                               const BeaconIntervalConfig& bi = {});
+double expected_abft_intervals(int contenders);
 
 }  // namespace libra::mac

@@ -6,8 +6,8 @@
 namespace libra::mac {
 
 namespace {
-double probes_to_ms(int probes, const BeamTrainerConfig& cfg) {
-  return static_cast<double>(probes) * cfg.probe_us / 1000.0;
+double probes_to_ms(int probes) {
+  return static_cast<double>(probes) * kProbeUs / 1000.0;
 }
 
 // The calling thread's sweep grid, rebuilt for `link`. Sweeps never nest,
@@ -44,7 +44,7 @@ SweepResult BeamTrainer::exhaustive(const channel::BeamGrid& grid,
       }
     }
   }
-  best.duration_ms = probes_to_ms(best.measurements, cfg_);
+  best.duration_ms = probes_to_ms(best.measurements);
   return best;
 }
 
@@ -79,7 +79,7 @@ SweepResult BeamTrainer::sls_80211ad(const channel::Link& link,
     }
   }
   best.snr_db = best_rx_snr;
-  best.duration_ms = probes_to_ms(best.measurements, cfg_);
+  best.duration_ms = probes_to_ms(best.measurements);
   return best;
 }
 
@@ -100,7 +100,7 @@ SweepResult BeamTrainer::sls_tx_only(const channel::Link& link,
       best.tx_beam = tb;
     }
   }
-  best.duration_ms = probes_to_ms(best.measurements, cfg_);
+  best.duration_ms = probes_to_ms(best.measurements);
   return best;
 }
 
@@ -146,7 +146,7 @@ SweepResult BeamTrainer::coarse_fine(const channel::Link& link,
       }
     }
   }
-  best.duration_ms = probes_to_ms(best.measurements, cfg_);
+  best.duration_ms = probes_to_ms(best.measurements);
   return best;
 }
 
@@ -170,7 +170,7 @@ SweepResult BeamTrainer::failover(const channel::BeamGrid& grid,
       }
     }
   }
-  best.duration_ms = probes_to_ms(best.measurements, cfg_);
+  best.duration_ms = probes_to_ms(best.measurements);
   return best;
 }
 

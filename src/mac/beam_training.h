@@ -38,16 +38,12 @@ struct SweepResult {
   double duration_ms = 0.0;
 };
 
-struct BeamTrainerConfig {
-  // Airtime per probe (one SSW frame + turnaround). 802.11ad SSW frames are
-  // ~15 us plus SBIFS; X60 uses one 100 us slot per measurement.
-  double probe_us = 20.0;
-};
+// Airtime per probe (one SSW frame + turnaround). 802.11ad SSW frames are
+// ~15 us plus SBIFS; X60 uses one 100 us slot per measurement.
+inline constexpr double kProbeUs = 20.0;
 
 class BeamTrainer {
  public:
-  explicit BeamTrainer(BeamTrainerConfig cfg = {}) : cfg_(cfg) {}
-
   SweepResult exhaustive(const channel::Link& link,
                          const phy::PhySampler& sampler, util::Rng& rng) const;
   // Sweep a grid the caller built on the link's current state.
@@ -78,11 +74,6 @@ class BeamTrainer {
   SweepResult failover(const channel::BeamGrid& grid,
                        const phy::PhySampler& sampler, util::Rng& rng,
                        array::BeamId primary_tx, int min_sector_gap) const;
-
-  const BeamTrainerConfig& config() const { return cfg_; }
-
- private:
-  BeamTrainerConfig cfg_;
 };
 
 }  // namespace libra::mac

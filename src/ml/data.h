@@ -52,7 +52,6 @@ class Standardizer {
   DataSet transform(const DataSet& data) const;
 
   const std::vector<double>& means() const { return mean_; }
-  const std::vector<double>& stddevs() const { return std_; }
 
  private:
   std::vector<double> mean_;

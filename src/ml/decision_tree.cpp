@@ -32,16 +32,6 @@ double impurity_from_counts(const std::vector<int>& counts, int total,
 
 DecisionTree::DecisionTree(DecisionTreeConfig cfg) : cfg_(cfg) {}
 
-double DecisionTree::node_impurity(const std::vector<std::size_t>& indices,
-                                   const DataSet& data) const {
-  std::vector<int> counts(static_cast<std::size_t>(num_classes_), 0);
-  for (std::size_t i : indices) {
-    ++counts[static_cast<std::size_t>(data.label(i))];
-  }
-  return impurity_from_counts(counts, static_cast<int>(indices.size()),
-                              cfg_.impurity);
-}
-
 void DecisionTree::fit(const DataSet& train, util::Rng& rng) {
   nodes_.clear();
   num_classes_ = std::max(train.num_classes(), 2);
@@ -77,7 +67,7 @@ int DecisionTree::build(const DataSet& data, std::vector<std::size_t>& indices,
   const bool pure =
       std::count_if(counts.begin(), counts.end(), [](int c) { return c > 0; }) <= 1;
   if (depth >= cfg_.max_depth || pure ||
-      static_cast<int>(indices.size()) < cfg_.min_samples_split) {
+      static_cast<int>(indices.size()) < kMinSamplesSplit) {
     return node_id;
   }
 

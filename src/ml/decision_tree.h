@@ -12,10 +12,12 @@ namespace libra::ml {
 
 enum class Impurity { kGini, kEntropy };
 
+// A node with fewer samples than this becomes a leaf.
+inline constexpr int kMinSamplesSplit = 2;
+
 struct DecisionTreeConfig {
   Impurity impurity = Impurity::kGini;
   int max_depth = 8;
-  int min_samples_split = 2;
   // When positive, consider only this many randomly chosen features per
   // split (used by the random forest); 0 = all features.
   int max_features = 0;
@@ -63,8 +65,6 @@ class DecisionTree : public Classifier {
  private:
   int build(const DataSet& data, std::vector<std::size_t>& indices, int depth,
             util::Rng& rng);
-  double node_impurity(const std::vector<std::size_t>& indices,
-                       const DataSet& data) const;
 
   DecisionTreeConfig cfg_;
   std::vector<Node> nodes_;

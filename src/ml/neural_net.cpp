@@ -59,7 +59,7 @@ void NeuralNet::fit(const DataSet& train, util::Rng& rng) {
   // Build layers: hidden sizes then the class output.
   layers_.clear();
   int in_dim = static_cast<int>(x.num_features());
-  std::vector<int> sizes = cfg_.hidden;
+  std::vector<int> sizes(kNnHiddenLayers.begin(), kNnHiddenLayers.end());
   sizes.push_back(num_classes_);
   for (int out_dim : sizes) {
     Layer layer;
@@ -85,9 +85,9 @@ void NeuralNet::fit(const DataSet& train, util::Rng& rng) {
   for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
     rng.shuffle(order);
     for (std::size_t start = 0; start < order.size();
-         start += static_cast<std::size_t>(cfg_.batch_size)) {
+         start += static_cast<std::size_t>(kNnBatchSize)) {
       const std::size_t end = std::min(
-          order.size(), start + static_cast<std::size_t>(cfg_.batch_size));
+          order.size(), start + static_cast<std::size_t>(kNnBatchSize));
       // Gradient accumulators.
       std::vector<std::vector<double>> gw(layers_.size()), gb(layers_.size());
       for (std::size_t l = 0; l < layers_.size(); ++l) {
@@ -146,17 +146,17 @@ void NeuralNet::fit(const DataSet& train, util::Rng& rng) {
       for (std::size_t l = 0; l < layers_.size(); ++l) {
         Layer& layer = layers_[l];
         for (std::size_t i = 0; i < layer.w.size(); ++i) {
-          const double g = gw[l][i] / batch + cfg_.l2 * layer.w[i];
+          const double g = gw[l][i] / batch + kNnL2 * layer.w[i];
           layer.mw[i] = kBeta1 * layer.mw[i] + (1 - kBeta1) * g;
           layer.vw[i] = kBeta2 * layer.vw[i] + (1 - kBeta2) * g * g;
-          layer.w[i] -= cfg_.learning_rate * (layer.mw[i] / bc1) /
+          layer.w[i] -= kNnLearningRate * (layer.mw[i] / bc1) /
                         (std::sqrt(layer.vw[i] / bc2) + kEps);
         }
         for (std::size_t i = 0; i < layer.b.size(); ++i) {
           const double g = gb[l][i] / batch;
           layer.mb[i] = kBeta1 * layer.mb[i] + (1 - kBeta1) * g;
           layer.vb[i] = kBeta2 * layer.vb[i] + (1 - kBeta2) * g * g;
-          layer.b[i] -= cfg_.learning_rate * (layer.mb[i] / bc1) /
+          layer.b[i] -= kNnLearningRate * (layer.mb[i] / bc1) /
                         (std::sqrt(layer.vb[i] / bc2) + kEps);
         }
       }

@@ -4,19 +4,23 @@
 // cross-entropy. Features are standardized internally.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "ml/data.h"
 
 namespace libra::ml {
 
+// Three hidden layers + output = 4 layers, trained with Adam on
+// mini-batches.
+inline constexpr std::array<int, 3> kNnHiddenLayers = {32, 24, 16};
+inline constexpr double kNnLearningRate = 5e-3;
+inline constexpr int kNnBatchSize = 16;
+inline constexpr double kNnL2 = 1e-4;
+
 struct NeuralNetConfig {
-  std::vector<int> hidden = {32, 24, 16};  // three hidden layers + output = 4
   double dropout = 0.2;
-  double learning_rate = 5e-3;
   int epochs = 220;
-  int batch_size = 16;
-  double l2 = 1e-4;
 };
 
 class NeuralNet : public Classifier {

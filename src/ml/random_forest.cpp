@@ -76,13 +76,12 @@ void RandomForest::fit(const DataSet& train, util::Rng& rng) {
   trees_.clear();
   num_classes_ = std::max(train.num_classes(), 2);
 
-  DecisionTreeConfig tree_cfg = cfg_.tree;
-  if (tree_cfg.max_features == 0) {
-    // sqrt(d) features per split, the standard forest default.
-    tree_cfg.max_features = std::max(
-        1, static_cast<int>(std::round(
-               std::sqrt(static_cast<double>(train.num_features())))));
-  }
+  // Default trees with sqrt(d) features per split, the standard forest
+  // default.
+  DecisionTreeConfig tree_cfg;
+  tree_cfg.max_features = std::max(
+      1, static_cast<int>(std::round(
+             std::sqrt(static_cast<double>(train.num_features())))));
 
   const auto num_trees = static_cast<std::size_t>(cfg_.num_trees);
   // Split one deterministic child stream per tree before any parallel
@@ -92,9 +91,8 @@ void RandomForest::fit(const DataSet& train, util::Rng& rng) {
   streams.reserve(num_trees);
   for (std::size_t t = 0; t < num_trees; ++t) streams.push_back(rng.fork());
 
-  const auto sample_size = static_cast<std::size_t>(
-      std::max<double>(1.0, cfg_.bootstrap_fraction *
-                                static_cast<double>(train.size())));
+  // Each tree bootstraps as many rows as the training set holds.
+  const std::size_t sample_size = train.size();
   trees_.assign(num_trees, DecisionTree(tree_cfg));
   util::parallel_for(pool(), num_trees, [&](std::size_t t) {
     util::Rng& tree_rng = streams[t];

@@ -20,9 +20,6 @@ namespace libra::ml {
 
 struct RandomForestConfig {
   int num_trees = 60;
-  DecisionTreeConfig tree{};  // max_features is overridden below when 0
-  // Fraction of the training set bootstrapped per tree.
-  double bootstrap_fraction = 1.0;
   // Worker threads for fit()/batched inference: 0 = hardware_concurrency(),
   // 1 = serial legacy behavior (no pool is ever created).
   int num_threads = 0;

@@ -20,7 +20,7 @@ double BinarySvm::kernel_eval(std::span<const double> a,
     const double d = a[i] - b[i];
     dist2 += d * d;
   }
-  return std::exp(-cfg_.gamma * dist2);
+  return std::exp(-kSvmGamma * dist2);
 }
 
 void BinarySvm::fit(const DataSet& x, const std::vector<int>& y,
@@ -50,14 +50,14 @@ void BinarySvm::fit(const DataSet& x, const std::vector<int>& y,
   // Simplified SMO (Platt 1998 / CS229 variant).
   int passes = 0;
   int iterations = 0;
-  while (passes < cfg_.max_passes && iterations < cfg_.max_iterations) {
+  while (passes < kSvmMaxPasses && iterations < kSvmMaxIterations) {
     ++iterations;
     int changed = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const double ei = f(i) - y[i];
       const bool violates =
-          (y[i] * ei < -cfg_.tolerance && alpha[i] < cfg_.c) ||
-          (y[i] * ei > cfg_.tolerance && alpha[i] > 0.0);
+          (y[i] * ei < -kSvmTolerance && alpha[i] < cfg_.c) ||
+          (y[i] * ei > kSvmTolerance && alpha[i] > 0.0);
       if (!violates) continue;
       std::size_t j = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(n) - 2));

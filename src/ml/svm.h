@@ -12,13 +12,16 @@ namespace libra::ml {
 
 enum class Kernel { kLinear, kRbf };
 
+// RBF width (on standardized features).
+inline constexpr double kSvmGamma = 0.5;
+inline constexpr double kSvmTolerance = 1e-3;
+// SMO convergence: passes without alpha updates.
+inline constexpr int kSvmMaxPasses = 8;
+inline constexpr int kSvmMaxIterations = 3000;
+
 struct SvmConfig {
   Kernel kernel = Kernel::kRbf;
   double c = 5.0;          // regularization
-  double gamma = 0.5;      // RBF width (on standardized features)
-  double tolerance = 1e-3;
-  int max_passes = 8;      // SMO convergence: passes without alpha updates
-  int max_iterations = 3000;
 };
 
 // Binary SVM with labels in {-1, +1}.

@@ -26,7 +26,7 @@ double ErrorModel::expected_cdr(McsIndex mcs, double snr_db) const {
 
 double ErrorModel::expected_throughput_mbps(McsIndex mcs, double snr_db) const {
   return table_->rate_mbps(mcs) * expected_cdr(mcs, snr_db) *
-         cfg_.framing_efficiency;
+         kFramingEfficiency;
 }
 
 }  // namespace libra::phy

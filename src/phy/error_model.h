@@ -14,9 +14,10 @@ namespace libra::phy {
 struct ErrorModelConfig {
   // Logistic steepness: dB of margin to go from 50% to ~90% success.
   double waterfall_width_db = 0.9;
-  // Fraction of a slot usable for MAC payload (preamble/header/GI overhead).
-  double framing_efficiency = 0.92;
 };
+
+// Fraction of a slot usable for MAC payload (preamble/header/GI overhead).
+inline constexpr double kFramingEfficiency = 0.92;
 
 class ErrorModel {
  public:
@@ -33,7 +34,6 @@ class ErrorModel {
   double expected_throughput_mbps(McsIndex mcs, double snr_db) const;
 
   const McsTable& table() const { return *table_; }
-  const ErrorModelConfig& config() const { return cfg_; }
 
  private:
   const McsTable* table_;  // non-owning

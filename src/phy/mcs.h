@@ -29,7 +29,6 @@ class McsTable {
   explicit McsTable(std::vector<McsEntry> entries);
 
   int size() const { return static_cast<int>(entries_.size()); }
-  McsIndex min_mcs() const { return 0; }
   McsIndex max_mcs() const { return size() - 1; }
   const McsEntry& entry(McsIndex i) const;
   const std::vector<McsEntry>& entries() const { return entries_; }

@@ -12,18 +12,19 @@
 
 namespace libra::phy {
 
+inline constexpr int kPdpTaps = 256;
+// 2 GHz bandwidth -> sub-ns resolution; 1 ns keeps vectors small but
+// preserves multipath structure (0.3 m resolution).
+inline constexpr double kPdpTapSpacingNs = 1.0;
+
 struct PdpConfig {
-  int num_taps = 256;
-  double tap_spacing_ns = 1.0;   // 2 GHz bandwidth -> sub-ns resolution;
-                                 // 1 ns keeps vectors small but preserves
-                                 // multipath structure (0.3 m resolution)
   double noise_floor_mw = 1e-12; // per-tap measurement floor
 };
 
 // Add one path's power (mW) to the tap its delay falls on; a delay outside
-// the profile window adds nothing.
+// the kPdpTaps window adds nothing.
 void add_path_to_pdp(std::vector<double>& pdp, double delay_ns,
-                     double power_mw, const PdpConfig& cfg);
+                     double power_mw);
 
 // Delay (ns) of the strongest tap; nullopt when all taps are at the noise
 // floor (the "ToF = infinity" case).

@@ -53,15 +53,15 @@ PhySampler::RatePass PhySampler::rate_pass(const channel::Link& link,
       error_model_->expected_cdr(mcs, pass.snr.jammed_db));
   r.cdr = std::clamp(expected_cdr + rng.gaussian(0.0, cfg_.cdr_jitter), 0.0,
                      1.0);
-  r.throughput_mbps = error_model_->table().rate_mbps(mcs) * r.cdr *
-                      error_model_->config().framing_efficiency;
+  r.throughput_mbps =
+      error_model_->table().rate_mbps(mcs) * r.cdr * kFramingEfficiency;
   return pass;
 }
 
 PdpConfig PhySampler::detection_config(double jam_floor_dbm) const {
   // Taps are detectable only above the receiver's effective noise floor;
   // this is what makes X60 report ToF = infinity for very weak signals.
-  PdpConfig pdp_cfg = cfg_.pdp;
+  PdpConfig pdp_cfg;
   pdp_cfg.noise_floor_mw = libra::util::dbm_to_mw(jam_floor_dbm - 6.0);
   return pdp_cfg;
 }
@@ -69,13 +69,12 @@ PdpConfig PhySampler::detection_config(double jam_floor_dbm) const {
 double PhySampler::pdp_taps(const channel::Link& link, array::BeamId tx_beam,
                             array::BeamId rx_beam, const PdpConfig& pdp_cfg,
                             std::vector<double>& pdp) const {
-  pdp.assign(static_cast<std::size_t>(pdp_cfg.num_taps),
-             pdp_cfg.noise_floor_mw);
+  pdp.assign(static_cast<std::size_t>(kPdpTaps), pdp_cfg.noise_floor_mw);
   double total_mw = 0.0;
   link.for_each_contribution(
       tx_beam, rx_beam, [&](const channel::PathContribution& c) {
         total_mw += c.power_mw;
-        add_path_to_pdp(pdp, c.delay_ns, c.power_mw, pdp_cfg);
+        add_path_to_pdp(pdp, c.delay_ns, c.power_mw);
       });
   return total_mw;
 }

@@ -84,7 +84,6 @@ struct SamplerConfig {
                                    // even without interference (Sec. 6.2)
   double pdp_tap_jitter = 0.08;    // multiplicative per-tap jitter (sigma)
   double cdr_jitter = 0.015;       // residual frame-level CDR variation
-  PdpConfig pdp;
 };
 
 class PhySampler {

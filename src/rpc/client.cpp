@@ -249,7 +249,7 @@ std::optional<Frame> DecisionClient::request_locked(
     MsgType type, std::span<const std::uint8_t> payload) {
   client_metrics().requests.inc();
   std::optional<Frame> reply = round_trip_locked(type, payload);
-  if (!reply.has_value() && cfg_.retry_once) {
+  if (!reply.has_value()) {
     // One fresh-connection retry covers the common "server restarted
     // between batches" case without hiding a real outage.
     client_metrics().retries.inc();

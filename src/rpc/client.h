@@ -30,9 +30,6 @@ struct ClientConfig {
   // Per-request deadline (SO_RCVTIMEO/SO_SNDTIMEO). A reply slower than
   // this is an outage, matching the faults::kRpcDelay semantics.
   double deadline_ms = 250.0;
-  // After a transport error the client retries the request once on a
-  // fresh connection before declaring an outage.
-  bool retry_once = true;
 };
 
 // "unix:PATH", a bare path containing '/', or "HOST:PORT" -> ClientConfig
@@ -42,9 +39,9 @@ ClientConfig parse_remote_addr(const std::string& addr);
 
 // One connection to a DecisionServer. Round trips are serialized under an
 // internal mutex (the wire protocol is strict request/reply). Methods
-// return nullopt / false on transport failure after the configured retry;
-// they do not throw for transport errors (RemoteBackend turns those into
-// BackendOutageError).
+// return nullopt / false on transport failure after one retry on a fresh
+// connection; they do not throw for transport errors (RemoteBackend turns
+// those into BackendOutageError).
 class DecisionClient {
  public:
   explicit DecisionClient(ClientConfig cfg);

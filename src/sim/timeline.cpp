@@ -136,12 +136,11 @@ double clear_segment_bytes(const trace::CaseRecord& record, PairSel pair,
   while (t_ms < duration_ms) {
     // Periodic beam refresh: re-train and hop back to the better pair for
     // the (clear) state; the sweep costs airtime.
-    if (params.beam_refresh_interval_ms > 0.0 && t_ms >= next_refresh_ms) {
+    if (t_ms >= next_refresh_ms) {
       next_refresh_ms += refresh_ms;
       const auto best_tput = [&](PairSel p) {
         const trace::PairTrace& t = trace_of(p);
-        const phy::McsIndex m =
-            t.best_mcs(params.rule.min_tput_mbps, params.rule.min_cdr);
+        const phy::McsIndex m = t.best_mcs();
         return m >= 0 ? t.throughput_mbps[static_cast<std::size_t>(m)] : 0.0;
       };
       const PairSel better = best_tput(PairSel::kInitPair) >=
@@ -153,14 +152,13 @@ double clear_segment_bytes(const trace::CaseRecord& record, PairSel pair,
       t_ms += sweep;
       if (better != pair) {
         pair = better;
-        prober.reset(trace_of(pair).best_mcs(params.rule.min_tput_mbps,
-                                             params.rule.min_cdr));
+        prober.reset(trace_of(pair).best_mcs());
       }
       continue;
     }
     const trace::PairTrace& t = trace_of(pair);
     const double dur = std::min(params.fat_ms, duration_ms - t_ms);
-    const phy::McsIndex m = prober.on_frame(t, params.rule);
+    const phy::McsIndex m = prober.on_frame(t);
     const double tput = t.throughput_mbps[static_cast<std::size_t>(m)];
     bytes += tput * dur / 8000.0;
     if (series) series->emplace_back(tput, dur);

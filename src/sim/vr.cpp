@@ -8,21 +8,21 @@ namespace libra::sim {
 std::vector<double> generate_frame_sizes_mb(const VrConfig& cfg,
                                             double duration_ms,
                                             util::Rng& rng) {
-  const int n = static_cast<int>(duration_ms / 1000.0 * cfg.fps);
-  const double mean_mb = cfg.bitrate_mbps / 8.0 / cfg.fps;  // Mb -> MB
+  const int n = static_cast<int>(duration_ms / 1000.0 * kVrFps);
+  const double mean_mb = kVrBitrateMbps / 8.0 / kVrFps;  // Mb -> MB
   std::vector<double> sizes;
   sizes.reserve(static_cast<std::size_t>(n));
   const double phase = rng.uniform(0.0, 2.0 * std::numbers::pi);
   // Normalize so the average rate stays at the configured bitrate: spread
   // the I-frame boost across the GOP.
   const double gop_norm =
-      static_cast<double>(cfg.gop_frames) /
-      (cfg.gop_frames - 1 + cfg.iframe_boost);
+      static_cast<double>(kVrGopFrames) /
+      (kVrGopFrames - 1 + cfg.iframe_boost);
   for (int i = 0; i < n; ++i) {
     const double swing =
         1.0 + cfg.scene_swing *
-                  std::sin(phase + 2.0 * std::numbers::pi * i / (cfg.fps * 4.0));
-    const double iframe = (i % cfg.gop_frames == 0) ? cfg.iframe_boost : 1.0;
+                  std::sin(phase + 2.0 * std::numbers::pi * i / (kVrFps * 4.0));
+    const double iframe = (i % kVrGopFrames == 0) ? cfg.iframe_boost : 1.0;
     const double jitter = std::exp(rng.gaussian(0.0, 0.05));
     sizes.push_back(mean_mb * swing * iframe * gop_norm * jitter);
   }
@@ -33,7 +33,7 @@ VrResult play_vr(const std::vector<double>& frame_sizes_mb,
                  const std::vector<std::pair<double, double>>& tput_segments,
                  const VrConfig& cfg) {
   VrResult result;
-  const double frame_interval_ms = 1000.0 / cfg.fps;
+  const double frame_interval_ms = 1000.0 / kVrFps;
 
   // Segment boundaries as absolute times, for random access by time.
   std::vector<double> seg_start(tput_segments.size() + 1, 0.0);

@@ -19,13 +19,14 @@
 
 namespace libra::sim {
 
+inline constexpr double kVrFps = 60.0;
+inline constexpr double kVrBitrateMbps = 1200.0;  // 8K VR demand (Sec. 8.4)
+inline constexpr int kVrGopFrames = 30;
+
 struct VrConfig {
-  double fps = 60.0;
-  double bitrate_mbps = 1200.0;  // 8K VR demand (Sec. 8.4)
   // Frame-size modulation: slow scene-motion swing and I-frame spikes.
   double scene_swing = 0.25;     // +-25% slow modulation
   double iframe_boost = 1.8;     // I-frames are ~1.8x the mean
-  int gop_frames = 30;
   // COTS 802.11ad tops out around 2.4 Gbps; scale the trace throughputs.
   double cots_scale = 2400.0 / 4750.0;
 };

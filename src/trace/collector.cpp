@@ -9,11 +9,13 @@
 
 namespace libra::trace {
 
-phy::McsIndex PairTrace::best_mcs(double min_tput_mbps, double min_cdr) const {
+phy::McsIndex PairTrace::best_mcs() const {
   phy::McsIndex best = -1;
   double best_tput = -1.0;
   for (std::size_t m = 0; m < throughput_mbps.size(); ++m) {
-    if (cdr[m] <= min_cdr || throughput_mbps[m] <= min_tput_mbps) continue;
+    if (cdr[m] <= kWorkingMinCdr || throughput_mbps[m] <= kWorkingMinTputMbps) {
+      continue;
+    }
     if (throughput_mbps[m] > best_tput) {
       best_tput = throughput_mbps[m];
       best = static_cast<phy::McsIndex>(m);
@@ -154,13 +156,13 @@ CaseRecord TraceCollector::collect(env::Environment& environment, const Case& c,
       trainer_.exhaustive(init_grid, sweep_sampler_, rng);
   rec.init_best = measure_pair(link, init_sweep.tx_beam, init_sweep.rx_beam,
                                rng);
-  rec.init_mcs = rec.init_best.best_mcs(cfg_.min_tput_mbps, cfg_.min_cdr);
+  rec.init_mcs = rec.init_best.best_mcs();
 
   // Failover pair (MOCA-style): the best pair whose Tx sector is at least
-  // `failover_min_sector_gap` away from the primary's.
+  // kFailoverMinSectorGap away from the primary's.
   const mac::SweepResult failover =
       trainer_.failover(init_grid, sweep_sampler_, rng, init_sweep.tx_beam,
-                        cfg_.failover_min_sector_gap);
+                        kFailoverMinSectorGap);
   rec.init_failover =
       measure_pair(link, failover.tx_beam, failover.rx_beam, rng);
 
@@ -213,7 +215,7 @@ CaseRecord TraceCollector::collect_na(env::Environment& environment,
   apply_state(environment, link, c.next, eirp);
   const mac::SweepResult sweep = trainer_.exhaustive(link, sweep_sampler_, rng);
   rec.init_best = measure_pair(link, sweep.tx_beam, sweep.rx_beam, rng);
-  rec.init_mcs = rec.init_best.best_mcs(cfg_.min_tput_mbps, cfg_.min_cdr);
+  rec.init_mcs = rec.init_best.best_mcs();
   // Second window at the same state, same pair.
   rec.new_at_init_pair =
       measure_pair(link, sweep.tx_beam, sweep.rx_beam, rng);

@@ -34,7 +34,7 @@ struct PairTrace {
 
   // Highest-throughput MCS among working ones (falls back to the overall
   // argmax when nothing works). Working rule from Sec. 5.2.
-  phy::McsIndex best_mcs(double min_tput_mbps, double min_cdr) const;
+  phy::McsIndex best_mcs() const;
 };
 
 // One collected dataset case: the initial state plus the impaired state.
@@ -59,14 +59,15 @@ struct CaseRecord {
   bool angular_displacement = false;
 };
 
+// Working-MCS rule (Sec. 5.2): CDR > 10% and Th > 150 Mbps.
+inline constexpr double kWorkingMinTputMbps = 150.0;
+inline constexpr double kWorkingMinCdr = 0.10;
+// Minimum Tx-sector index distance between the primary and the failover
+// pair (MOCA keeps the backup angularly diverse so one obstacle cannot take
+// out both).
+inline constexpr int kFailoverMinSectorGap = 3;
+
 struct CollectorConfig {
-  // Working-MCS rule (Sec. 5.2): CDR > 10% and Th > 150 Mbps.
-  double min_tput_mbps = 150.0;
-  double min_cdr = 0.10;
-  // Minimum Tx-sector index distance between the primary and the failover
-  // pair (MOCA keeps the backup angularly diverse so one obstacle cannot
-  // take out both).
-  int failover_min_sector_gap = 3;
   // Number of frames averaged into one trace (1 s of 10 ms X60 frames);
   // jitter of averaged quantities shrinks by sqrt(frames).
   int frames_per_trace = 100;
@@ -85,8 +86,6 @@ class TraceCollector {
   // consecutive windows at the case's new state with its best pair.
   CaseRecord collect_na(env::Environment& environment, const Case& c,
                         util::Rng& rng) const;
-
-  const CollectorConfig& config() const { return cfg_; }
 
   // Calibrate an interferer's EIRP so the expected throughput at (pair, mcs)
   // drops by `target_drop` relative to the interference-free value.

@@ -71,6 +71,29 @@ struct FeatureVector {
   double initial_mcs() const { return v[6]; }
 };
 
+// The seven Sec. 6.1 formulas. `before` holds the initial state's PHY
+// metrics and `now` the current state's, both through the initial beam
+// pair; either is a PairTrace or a phy::PhyObservation (anything with
+// snr_db, tof_ns, noise_dbm, pdp and csi). `cdr` is the current CDR at
+// `initial_mcs`.
+template <typename Before, typename Now>
+FeatureVector feature_row(const Before& before, const Now& now, double cdr,
+                          phy::McsIndex initial_mcs) {
+  FeatureVector f;
+  f.v[0] = before.snr_db - now.snr_db;
+  if (before.tof_ns && now.tof_ns) {
+    f.v[1] = *before.tof_ns - *now.tof_ns;
+  } else {
+    f.v[1] = kTofInfinity;
+  }
+  f.v[2] = now.noise_dbm - before.noise_dbm;
+  f.v[3] = aligned_pdp_similarity(before.pdp, now.pdp);
+  f.v[4] = util::pearson(before.csi, now.csi);
+  f.v[5] = cdr;
+  f.v[6] = static_cast<double>(initial_mcs);
+  return f;
+}
+
 inline FeatureVector extract_features(const CaseRecord& rec) {
   // The CDR lookup below indexes with init_mcs; a hand-built or corrupted
   // record must fail loudly instead of reading out of bounds.
@@ -88,18 +111,9 @@ inline FeatureVector extract_features(const CaseRecord& rec) {
         " entries but throughput has " +
         std::to_string(rec.new_at_init_pair.throughput_mbps.size()));
   }
-  FeatureVector f;
-  f.v[0] = rec.init_best.snr_db - rec.new_at_init_pair.snr_db;
-  if (rec.init_best.tof_ns && rec.new_at_init_pair.tof_ns) {
-    f.v[1] = *rec.init_best.tof_ns - *rec.new_at_init_pair.tof_ns;
-  } else {
-    f.v[1] = kTofInfinity;
-  }
-  f.v[2] = rec.new_at_init_pair.noise_dbm - rec.init_best.noise_dbm;
-  f.v[3] = aligned_pdp_similarity(rec.init_best.pdp, rec.new_at_init_pair.pdp);
-  f.v[4] = util::pearson(rec.init_best.csi, rec.new_at_init_pair.csi);
-  f.v[5] = cdr[static_cast<std::size_t>(rec.init_mcs)];
-  f.v[6] = static_cast<double>(rec.init_mcs);
+  const FeatureVector f =
+      feature_row(rec.init_best, rec.new_at_init_pair,
+                  cdr[static_cast<std::size_t>(rec.init_mcs)], rec.init_mcs);
   // A NaN/Inf input metric (corrupted capture, poisoned observation) must
   // not propagate silently into training or inference; name the feature so
   // the bad field in the record is identifiable.

@@ -29,18 +29,17 @@ struct GroundTruthConfig {
   double alpha = 1.0;           // Sec. 5/6 use alpha=1 (throughput only)
   double fat_ms = 10.0;         // frame aggregation time (one RA probe)
   double ba_overhead_ms = 5.0;  // sector sweep duration
-  double min_tput_mbps = 150.0; // working-MCS rule
-  double min_cdr = 0.10;
-  // "No Adaptation" rule for the 3-class labels (Sec. 7): the current MCS on
-  // the current pair still works and retains at least this fraction of the
-  // pre-impairment throughput.
-  double na_tput_fraction = 0.90;
-  // Indifference band for the BA-vs-RA utility comparison: when the two
-  // utilities are within this margin, RA wins ("perform RA when
-  // Th(RA) >= Th(BA)", Sec. 5.2) -- it avoids the sweep overhead and keeps
-  // measurement noise from creating unlearnable coin-flip labels.
-  double tie_tolerance = 0.02;
 };
+
+// "No Adaptation" rule for the 3-class labels (Sec. 7): the current MCS on
+// the current pair still works and retains at least this fraction of the
+// pre-impairment throughput.
+inline constexpr double kNaTputFraction = 0.90;
+// Indifference band for the BA-vs-RA utility comparison: when the two
+// utilities are within this margin, RA wins ("perform RA when
+// Th(RA) >= Th(BA)", Sec. 5.2) -- it avoids the sweep overhead and keeps
+// measurement noise from creating unlearnable coin-flip labels.
+inline constexpr double kTieTolerance = 0.02;
 
 struct GroundTruth {
   Action label = Action::kRA;        // 2-class (BA vs RA) decision
@@ -54,7 +53,7 @@ struct GroundTruth {
 };
 
 // True if the (cdr, throughput) pair satisfies the working-MCS rule.
-bool is_working(double cdr, double tput_mbps, const GroundTruthConfig& cfg);
+bool is_working(double cdr, double tput_mbps);
 
 GroundTruth label_case(const CaseRecord& rec, const GroundTruthConfig& cfg);
 

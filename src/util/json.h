@@ -37,7 +37,6 @@ struct JsonValue {
 
   bool is_object() const { return type == Type::kObject; }
   bool is_array() const { return type == Type::kArray; }
-  bool is_string() const { return type == Type::kString; }
   bool is_number() const { return type == Type::kNumber; }
 
   // Object member lookup; nullptr when absent or not an object.

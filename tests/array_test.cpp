@@ -63,8 +63,8 @@ TEST(Codebook, GainNeverBelowBacklobeFloor) {
   const Codebook cb;
   for (int i = 0; i < cb.size(); ++i) {
     for (double a = -180.0; a <= 180.0; a += 3.0) {
-      EXPECT_GE(cb.gain_dbi(i, a), cb.config().backlobe_floor_dbi);
-      EXPECT_LE(cb.gain_dbi(i, a), cb.config().peak_gain_dbi + 1e-9);
+      EXPECT_GE(cb.gain_dbi(i, a), kBacklobeFloorDbi);
+      EXPECT_LE(cb.gain_dbi(i, a), kPeakGainDbi + 1e-9);
     }
   }
 }

@@ -34,19 +34,17 @@ TEST(LinkBudget, NearFieldGuard) {
 }
 
 TEST(LinkBudget, OxygenAbsorptionAccumulates) {
-  const LinkBudgetConfig cfg;
-  const double d1 = path_loss_db(cfg, 10.0);
-  const double d2 = path_loss_db(cfg, 1000.0);
+  const double d1 = path_loss_db(10.0);
+  const double d2 = path_loss_db(1000.0);
   // At 1 km the O2 term alone adds ~16 dB beyond FSPL scaling.
-  const double fspl_delta = fspl_db(1000.0, cfg.frequency_hz) -
-                            fspl_db(10.0, cfg.frequency_hz);
-  EXPECT_NEAR(d2 - d1 - fspl_delta, cfg.oxygen_db_per_m * 990.0, 1e-9);
+  const double fspl_delta = fspl_db(1000.0, kCarrierFrequencyHz) -
+                            fspl_db(10.0, kCarrierFrequencyHz);
+  EXPECT_NEAR(d2 - d1 - fspl_delta, kOxygenDbPerM * 990.0, 1e-9);
 }
 
 TEST(LinkBudget, ThermalNoiseFloor) {
-  LinkBudgetConfig cfg;
   // -174 + 10log10(1.76e9) + 7 = -74.5 dBm.
-  EXPECT_NEAR(thermal_noise_floor_dbm(cfg), -74.5, 0.2);
+  EXPECT_NEAR(thermal_noise_floor_dbm(), -74.5, 0.2);
 }
 
 // ---------- path tracer ----------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 
@@ -255,6 +257,56 @@ TEST_F(LiveFixture, LibraControllerRunsAndAdapts) {
   double goodput = 0.0;
   for (int i = 0; i < 50; ++i) goodput += run_frame(ctrl, rng).goodput_mbps;
   EXPECT_GT(goodput / 50, 150.0);
+}
+
+// LiBRA's live features and the dataset's extract_features share one set of
+// formulas: a request's features equal those of a CaseRecord whose initial
+// state is the controller's baseline and whose impaired state at the
+// initial pair is the request's observation, at the frame's MCS.
+class BaselineProbe : public core::LibraController {
+ public:
+  using core::LibraController::LibraController;
+  const phy::PhyObservation& baseline() const { return *baseline_; }
+};
+
+trace::PairTrace as_trace(const phy::PhyObservation& obs, int num_mcs) {
+  trace::PairTrace t;
+  t.snr_db = obs.snr_db;
+  t.noise_dbm = obs.noise_dbm;
+  t.tof_ns = obs.tof_ns;
+  t.pdp = obs.pdp;
+  t.csi = obs.csi;
+  t.cdr.assign(static_cast<std::size_t>(num_mcs), 0.0);
+  t.throughput_mbps.assign(static_cast<std::size_t>(num_mcs), 0.0);
+  t.cdr[static_cast<std::size_t>(obs.mcs)] = obs.cdr;
+  t.throughput_mbps[static_cast<std::size_t>(obs.mcs)] = obs.throughput_mbps;
+  return t;
+}
+
+TEST_F(LiveFixture, LibraFeaturesMatchExtractFeatures) {
+  BaselineProbe ctrl(&link, &em, &sim::golden_classifier());
+  util::Rng rng(8);
+  ctrl.start(rng);
+  int checked = 0;
+  for (int i = 0; i < 60; ++i) {
+    if (i == 20) lobby.add_blocker({{6, 6}, 0.3, 35.0});
+    core::DecisionRequest request = ctrl.observe(rng);
+    if (request.needs_inference()) {
+      trace::CaseRecord rec;
+      rec.init_mcs = request.report.mcs;
+      rec.init_best = as_trace(ctrl.baseline(), table.size());
+      rec.new_at_init_pair = as_trace(request.obs, table.size());
+      const trace::FeatureVector want = trace::extract_features(rec);
+      for (std::size_t k = 0; k < want.v.size(); ++k) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(request.features.v[k]),
+                  std::bit_cast<std::uint64_t>(want.v[k]))
+            << trace::FeatureVector::kNames[k] << " at frame " << i;
+      }
+      ++checked;
+    }
+    ctrl.apply(ctrl.decide(request, rng), request, rng);
+  }
+  EXPECT_GT(checked, 5);
 }
 
 // ---------- sessions ----------

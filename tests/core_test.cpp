@@ -17,7 +17,7 @@ using libra::testing::make_trace;
 
 TEST(RaRepairWalk, DescendsToHighestWorking) {
   const trace::PairTrace t = make_trace(4);
-  const RaWalk walk = ra_repair_walk(t, 7, {});
+  const RaWalk walk = ra_repair_walk(t, 7);
   EXPECT_EQ(walk.settled, 4);
   // Probes 7, 6, 5 fail; probe 4 is the first working one.
   EXPECT_EQ(walk.first_working_probe, 3);
@@ -28,7 +28,7 @@ TEST(RaRepairWalk, DescendsToHighestWorking) {
 
 TEST(RaRepairWalk, StartAtWorkingMcsIsImmediate) {
   const trace::PairTrace t = make_trace(6);
-  const RaWalk walk = ra_repair_walk(t, 6, {});
+  const RaWalk walk = ra_repair_walk(t, 6);
   EXPECT_EQ(walk.settled, 6);
   EXPECT_EQ(walk.first_working_probe, 0);
 }
@@ -37,14 +37,14 @@ TEST(RaRepairWalk, StopsDescendingAfterThroughputDrop) {
   // All MCSs work: the walk probes the start MCS and the one below (which
   // delivers less), then stops -- it does not scan to MCS 0.
   const trace::PairTrace t = make_trace(8);
-  const RaWalk walk = ra_repair_walk(t, 8, {});
+  const RaWalk walk = ra_repair_walk(t, 8);
   EXPECT_EQ(walk.settled, 8);
   EXPECT_LE(walk.probes.size(), 2u);
 }
 
 TEST(RaRepairWalk, NothingWorks) {
   const trace::PairTrace t = make_trace(-1);
-  const RaWalk walk = ra_repair_walk(t, 5, {});
+  const RaWalk walk = ra_repair_walk(t, 5);
   EXPECT_EQ(walk.settled, -1);
   EXPECT_EQ(walk.first_working_probe, -1);
   EXPECT_EQ(walk.probes.size(), 6u);  // probed 5..0
@@ -52,7 +52,7 @@ TEST(RaRepairWalk, NothingWorks) {
 
 TEST(RaRepairWalk, FromMcsZero) {
   const trace::PairTrace t = make_trace(0);
-  const RaWalk walk = ra_repair_walk(t, 0, {});
+  const RaWalk walk = ra_repair_walk(t, 0);
   EXPECT_EQ(walk.settled, 0);
   EXPECT_EQ(walk.probes.size(), 1u);
 }
@@ -62,29 +62,26 @@ TEST(RaRepairWalk, FromMcsZero) {
 TEST(UpProber, ClimbsToBestMcs) {
   const trace::PairTrace t = make_trace(6);
   UpProber prober(2);
-  trace::GroundTruthConfig rule;
   // Enough frames for four climbs at T0 = 5.
-  for (int i = 0; i < 60; ++i) prober.on_frame(t, rule);
+  for (int i = 0; i < 60; ++i) prober.on_frame(t);
   EXPECT_EQ(prober.current(), 6);
 }
 
 TEST(UpProber, DoesNotExceedWorkingCeiling) {
   const trace::PairTrace t = make_trace(4);
   UpProber prober(4);
-  trace::GroundTruthConfig rule;
-  for (int i = 0; i < 300; ++i) prober.on_frame(t, rule);
+  for (int i = 0; i < 300; ++i) prober.on_frame(t);
   EXPECT_EQ(prober.current(), 4);
 }
 
 TEST(UpProber, BacksOffExponentially) {
   const trace::PairTrace t = make_trace(4);
   UpProber prober(4);
-  trace::GroundTruthConfig rule;
   // First failed probe happens at frame 5; with backoff the second probe
   // comes 10 frames later, the third 20 frames after that.
   std::vector<int> probe_frames;
   for (int i = 0; i < 120; ++i) {
-    const phy::McsIndex m = prober.on_frame(t, rule);
+    const phy::McsIndex m = prober.on_frame(t);
     if (m == 5) probe_frames.push_back(i);
   }
   ASSERT_GE(probe_frames.size(), 3u);
@@ -98,69 +95,25 @@ TEST(UpProber, HoldsWhenCdrUnhealthy) {
   trace::PairTrace t = make_trace(6);
   t.cdr[4] = 0.5;  // current MCS lossy: never probe upward from here
   UpProber prober(4);
-  trace::GroundTruthConfig rule;
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(prober.on_frame(t, rule), 4);
+    EXPECT_EQ(prober.on_frame(t), 4);
   }
 }
 
 TEST(UpProber, AtMaxMcsStaysPut) {
   const trace::PairTrace t = make_trace(8);
   UpProber prober(8);
-  trace::GroundTruthConfig rule;
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(prober.on_frame(t, rule), 8);
+    EXPECT_EQ(prober.on_frame(t), 8);
   }
 }
 
 TEST(UpProber, ResetRestoresState) {
   const trace::PairTrace t = make_trace(8);
   UpProber prober(2);
-  trace::GroundTruthConfig rule;
-  for (int i = 0; i < 30; ++i) prober.on_frame(t, rule);
+  for (int i = 0; i < 30; ++i) prober.on_frame(t);
   prober.reset(1);
   EXPECT_EQ(prober.current(), 1);
-}
-
-// ---------- RRAA CDR_ORI threshold ----------
-
-TEST(CdrOri, TighterAtBigRateJumps) {
-  const phy::McsTable t;
-  // MCS 1 -> 2 doubles the rate (385 -> 770): large tolerable loss, low
-  // gate. MCS 5 -> 6 gains only 20%: tight gate.
-  EXPECT_LT(cdr_ori(t, 1), cdr_ori(t, 5));
-  for (phy::McsIndex m = 0; m < t.max_mcs(); ++m) {
-    EXPECT_GT(cdr_ori(t, m), 0.5);
-    EXPECT_LT(cdr_ori(t, m), 1.0);
-  }
-}
-
-TEST(CdrOri, TopMcsNeverProbes) {
-  const phy::McsTable t;
-  EXPECT_DOUBLE_EQ(cdr_ori(t, t.max_mcs()), 1.0);
-}
-
-TEST(CdrOri, MatchesClosedForm) {
-  const phy::McsTable t;
-  // cdr_ori(m) = 1 - (1 - rate(m)/rate(m+1)) / 2.
-  const double expected = 1.0 - (1.0 - 300.0 / 385.0) / 2.0;
-  EXPECT_NEAR(cdr_ori(t, 0), expected, 1e-12);
-}
-
-TEST(UpProber, RraaGateUsedWhenTableSet) {
-  const phy::McsTable table;
-  trace::PairTrace t = make_trace(6);
-  // The RRAA gate for the 1->2 jump (rate doubles) is 0.75 -- far looser
-  // than the fixed 0.9 default. A CDR of 0.8 clears the RRAA gate but not
-  // the fixed one; with the table set the prober must probe.
-  t.cdr[1] = 0.80;
-  UpProberConfig cfg;
-  cfg.table = &table;
-  UpProber prober(1, cfg);
-  trace::GroundTruthConfig rule;
-  bool probed = false;
-  for (int i = 0; i < 10; ++i) probed |= prober.on_frame(t, rule) == 2;
-  EXPECT_TRUE(probed);
 }
 
 // ---------- LiBRA classifier ----------

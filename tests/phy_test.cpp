@@ -104,7 +104,7 @@ TEST(ErrorModel, ThroughputCapsAtFramingEfficiency) {
   const McsTable t;
   const ErrorModel em(&t);
   const double tput = em.expected_throughput_mbps(8, 100.0);
-  EXPECT_NEAR(tput, 4750.0 * em.config().framing_efficiency, 1e-6);
+  EXPECT_NEAR(tput, 4750.0 * kFramingEfficiency, 1e-6);
 }
 
 TEST(ErrorModel, LowerMcsWinsBelowThreshold) {
@@ -157,10 +157,10 @@ INSTANTIATE_TEST_SUITE_P(SnrGrid, McsSweep, ::testing::Range(0, 10));
 std::vector<double> pdp_of(
     std::initializer_list<std::pair<double, double>> paths,
     const PdpConfig& cfg = {}) {
-  std::vector<double> pdp(static_cast<std::size_t>(cfg.num_taps),
+  std::vector<double> pdp(static_cast<std::size_t>(kPdpTaps),
                           cfg.noise_floor_mw);
   for (const auto& [power_dbm, delay_ns] : paths) {
-    add_path_to_pdp(pdp, delay_ns, util::dbm_to_mw(power_dbm), cfg);
+    add_path_to_pdp(pdp, delay_ns, util::dbm_to_mw(power_dbm));
   }
   return pdp;
 }
@@ -168,7 +168,7 @@ std::vector<double> pdp_of(
 TEST(Pdp, TapsAtPathDelays) {
   PdpConfig cfg;
   const auto pdp = pdp_of({{-50.0, 20.0}, {-60.0, 45.0}}, cfg);
-  ASSERT_EQ(static_cast<int>(pdp.size()), cfg.num_taps);
+  ASSERT_EQ(static_cast<int>(pdp.size()), kPdpTaps);
   EXPECT_NEAR(pdp[20], util::dbm_to_mw(-50.0), util::dbm_to_mw(-50.0) * 0.01);
   EXPECT_NEAR(pdp[45], util::dbm_to_mw(-60.0), util::dbm_to_mw(-60.0) * 0.01);
   EXPECT_NEAR(pdp[100], cfg.noise_floor_mw, cfg.noise_floor_mw * 0.01);
@@ -249,7 +249,7 @@ TEST_F(SamplerFixture, ThroughputConsistentWithCdr) {
   util::Rng rng(1);
   const auto obs = sampler.observe(link, 12, 12, 3, rng);
   EXPECT_NEAR(obs.throughput_mbps,
-              table.rate_mbps(3) * obs.cdr * em.config().framing_efficiency,
+              table.rate_mbps(3) * obs.cdr * kFramingEfficiency,
               1e-9);
 }
 

@@ -498,7 +498,7 @@ TEST(Vr, IframesAreLarger) {
   double iframe_avg = 0.0, pframe_avg = 0.0;
   int ni = 0, np = 0;
   for (std::size_t i = 0; i < frames.size(); ++i) {
-    if (i % (std::size_t)cfg.gop_frames == 0) {
+    if (i % (std::size_t)kVrGopFrames == 0) {
       iframe_avg += frames[i];
       ++ni;
     } else {

@@ -125,14 +125,14 @@ TEST(Scenario, ToStringNames) {
 
 TEST(PairTrace, BestMcsIsHighestThroughputWorking) {
   const PairTrace t = make_trace(5);
-  EXPECT_EQ(t.best_mcs(150.0, 0.10), 5);
+  EXPECT_EQ(t.best_mcs(), 5);
 }
 
 TEST(PairTrace, BestMcsFallsBackWhenNothingWorks) {
   PairTrace t = make_trace(-1);
   t.throughput_mbps[2] = 10.0;  // best raw throughput but not "working"
   t.cdr[2] = 0.05;
-  EXPECT_EQ(t.best_mcs(150.0, 0.10), 2);
+  EXPECT_EQ(t.best_mcs(), 2);
 }
 
 // ---------- ground truth ----------
@@ -242,10 +242,9 @@ TEST(GroundTruth, ForcedNaOverrides) {
 }
 
 TEST(GroundTruth, IsWorkingRule) {
-  GroundTruthConfig cfg;
-  EXPECT_TRUE(is_working(0.5, 500.0, cfg));
-  EXPECT_FALSE(is_working(0.05, 500.0, cfg));  // CDR too low
-  EXPECT_FALSE(is_working(0.5, 100.0, cfg));   // throughput too low
+  EXPECT_TRUE(is_working(0.5, 500.0));
+  EXPECT_FALSE(is_working(0.05, 500.0));  // CDR too low
+  EXPECT_FALSE(is_working(0.5, 100.0));   // throughput too low
 }
 
 TEST(GroundTruth, ActionToString) {
